@@ -88,7 +88,9 @@ def stokes_phase(lam: float) -> float:
         raise InvalidArgumentError(f"crossing parameter must be >= 0, got {lam}")
     if lam == 0.0:
         return 0.25 * math.pi
-    middle = 0.5 * lam * math.log(lam / (2.0 * math.e))
+    # log(lam) - 1 - log 2 rather than log(lam / 2e): the quotient underflows
+    # to 0 for subnormal lam
+    middle = 0.5 * lam * (math.log(lam) - 1.0 - math.log(2.0))
     return 0.25 * math.pi + middle + log_gamma_complex(1.0 - 0.5j * lam).imag
 
 

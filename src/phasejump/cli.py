@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .errors import PhasejumpError
 from .models import ParabolicParams, sample
@@ -52,26 +50,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated invocation: everything needed to run one subcommand."""
-
-    subcommand: str
-    family: str = "parabolic"
-    a: float = 1.0
-    b: float = 0.0
-    c: float = 0.0
-    n: int = 1
-    phase_jump: bool = False
-    config: SimConfig = SimConfig()
-    with_methods: tuple[str, ...] = ()
-    param: str = "b"
-    grid: tuple[float, ...] = ()
-    methods: tuple[str, ...] = ("numeric",)
-    figure: str = ""
-    out: Optional[Path] = None
 
 
 def _add_model_args(p):

@@ -53,6 +53,12 @@ class DriveModel:
     discontinuity returns the right-limit values.  ``alpha_dot_fn``/``v_dot_fn``
     are optional exact derivatives; when absent, consumers fall back to central
     finite differences.
+
+    ``parity`` declares a time symmetry that lets a symmetric window be
+    integrated over one half only: +1 means alpha and V are even and phi is
+    identically 0; -1 means the same except that phi jumps from 0 to pi at
+    t = 0; 0 (the default) claims nothing.  ``_check_parity`` tests a declared
+    parity at probe times before a window is mirrored.
     """
 
     alpha_fn: Callable[[float], float]
@@ -62,6 +68,45 @@ class DriveModel:
     label: str = ""
     alpha_dot_fn: Optional[Callable[[float], float]] = field(default=None, compare=False)
     v_dot_fn: Optional[Callable[[float], float]] = field(default=None, compare=False)
+    parity: int = 0
+
+    def __post_init__(self):
+        if self.parity not in (-1, 0, 1):
+            raise InvalidArgumentError(f"parity must be -1, 0 or 1, got {self.parity!r}")
+
+
+# Positive probe times at which a declared parity is checked against -t.
+_PARITY_PROBES = (0.1, 0.3, 0.5, 0.7, 1.0, 2.5, 10.0)
+
+
+def _check_parity(model: DriveModel) -> None:
+    """Raise InvalidArgumentError unless the fields show the declared parity.
+
+    Probes fixed times t and -t, skipping discontinuities, where right-limit
+    sampling breaks the symmetry.  Parity 0 claims nothing and always passes.
+    """
+    if not model.parity:
+        return
+    jump_phase = math.pi if model.parity < 0 else 0.0
+    for t in _PARITY_PROBES:
+        if t in model.discontinuities or -t in model.discontinuities:
+            continue
+        for fn in (model.alpha_fn, model.v_fn):
+            try:
+                x, y = fn(t), fn(-t)
+            except OverflowError:
+                # a steep power law leaves the float range: the probe shows nothing
+                continue
+            if abs(x - y) > 1e-12 * max(1.0, abs(x)):
+                raise InvalidArgumentError(
+                    f"parity {model.parity} declared, but a field is not even: "
+                    f"{x!r} at t={t:g}, {y!r} at t={-t:g}"
+                )
+        if model.phi_fn(-t) != 0.0 or model.phi_fn(t) != jump_phase:
+            raise InvalidArgumentError(
+                f"parity {model.parity} declared, but phi is "
+                f"{model.phi_fn(-t)!r} at t={-t:g} and {model.phi_fn(t)!r} at t={t:g}"
+            )
 
 
 def sample(model: DriveModel, t: float) -> FieldSample:
@@ -109,6 +154,7 @@ def parabolic(p: ParabolicParams) -> DriveModel:
         label=f"parabolic(a={a:g}, b={b:g}, c={c:g})",
         alpha_dot_fn=lambda t: 2.0 * a * t,
         v_dot_fn=lambda t: 0.0,
+        parity=1,
     )
 
 
@@ -125,6 +171,7 @@ def superparabolic(p: ParabolicParams) -> DriveModel:
         label=f"superparabolic(n={n}, b={b:g}, c={c:g})",
         alpha_dot_fn=lambda t: 2 * n * t ** (2 * n - 1),
         v_dot_fn=lambda t: 0.0,
+        parity=1,
     )
 
 
@@ -146,6 +193,7 @@ def constant_detuning_pulse(delta: float, amplitude: float, half_width: float) -
         discontinuities=(-hw, hw),
         label=f"const-detuning(delta={delta:g}, amplitude={amplitude:g}, half_width={hw:g})",
         alpha_dot_fn=lambda t: 0.0,
+        parity=1,
     )
 
 
@@ -157,7 +205,8 @@ def phase_jump(ref: DriveModel, t_jump: float = 0.0) -> DriveModel:
     """Zero-area variant of ``ref``: coupling phase jumps from 0 to pi at ``t_jump``.
 
     Keeps alpha and |V| pointwise; the sign flip of the signed coupling is
-    represented as the phase step, so V stays >= 0.
+    represented as the phase step, so V stays >= 0.  A jump at t = 0 of an
+    even (parity +1) reference has parity -1; any other variant has parity 0.
     """
     if not math.isfinite(t_jump):
         raise InvalidArgumentError(f"non-finite jump time {t_jump}")
@@ -171,6 +220,7 @@ def phase_jump(ref: DriveModel, t_jump: float = 0.0) -> DriveModel:
         phi_fn=lambda t: math.pi if t >= t_jump else 0.0,
         discontinuities=discs,
         label=f"{ref.label} + phase-jump(t={t_jump:g})",
+        parity=-1 if ref.parity == 1 and t_jump == 0.0 else 0,
     )
 
 

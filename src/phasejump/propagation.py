@@ -22,7 +22,7 @@ from .errors import (
     InvalidArgumentError,
     WindowTooSmallError,
 )
-from .models import DriveModel, FieldSample, sample
+from .models import DriveModel, FieldSample, _check_parity, sample
 
 __all__ = [
     "DIABATIC",
@@ -361,6 +361,27 @@ def _integrate_segment(model, t0, t1, cfg, make_trial, order, u0):
     return u
 
 
+def _integrate(model, t0, t1, cfg, make_step, order):
+    """Entries of U(t1, t0), one adaptive run per discontinuity-free segment."""
+    lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
+    cuts = sorted(d for d in model.discontinuities if lo < d < hi)
+    knots = [t0] + (cuts if t0 <= t1 else cuts[::-1]) + [t1]
+    u = _IDENTITY
+    for a, b in zip(knots[:-1], knots[1:]):
+        u = _integrate_segment(model, a, b, cfg, make_step, order, u)
+    return u
+
+
+def _mirror(half, parity):
+    """U(T, -T) = U+ S U+^T S of a drive with the given parity, from U+ = U(T, 0).
+
+    S is 1 for parity +1 and sigma_z for parity -1.
+    """
+    a, b, c, d = half
+    s = float(parity)
+    return _mul(half, (a, s * c, s * b, d))
+
+
 def propagate(
     model: DriveModel,
     t0: float,
@@ -374,6 +395,15 @@ def propagate(
     split at each listed discontinuity time first.  ``t1 < t0`` integrates
     backwards (negative steps), so propagate(m, a, b) @ propagate(m, b, a) is
     the identity up to the local tolerance.
+
+    A symmetric window (t0 = -T, t1 = T > 0) of a model with declared parity
+    is integrated over [0, T] only and mirrored: with U+ = U(T, 0) and S = 1
+    for parity +1 or sigma_z for parity -1, U(T, -T) = U+ S U+^T S.  H is
+    real, and the transpose of a CF4 or midpoint step is the same step on the
+    mirrored interval, so this is full-window integration with the mirrored
+    step sequence, not an approximation.  A declared parity the fields do not
+    show raises InvalidArgumentError; models with parity 0 are integrated over
+    the whole window.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise InvalidArgumentError(f"non-finite interval ({t0}, {t1})")
@@ -381,13 +411,11 @@ def propagate(
     if name not in _STEPPERS:
         raise InvalidArgumentError(f"unknown scheme {name!r}; choose from {sorted(_STEPPERS)}")
     make_step, order = _STEPPERS[name]
-    lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-    cuts = sorted(d for d in model.discontinuities if lo < d < hi)
-    knots = [t0] + (cuts if t0 <= t1 else cuts[::-1]) + [t1]
-    u = _IDENTITY
-    for a, b in zip(knots[:-1], knots[1:]):
-        u = _integrate_segment(model, a, b, cfg, make_step, order, u)
-    return Unitary2(u, DIABATIC)
+    if model.parity and t0 == -t1 and t1 > 0.0:
+        _check_parity(model)
+        half = _integrate(model, 0.0, t1, cfg, make_step, order)
+        return Unitary2(_mirror(half, model.parity), DIABATIC)
+    return Unitary2(_integrate(model, t0, t1, cfg, make_step, order), DIABATIC)
 
 
 def evolve_state(u: Unitary2, psi: StateVector) -> StateVector:
@@ -477,23 +505,31 @@ def auto_window(model: DriveModel, kappa: float = 100.0, t_max: float = 1e6) -> 
     return hi
 
 
+def _resolve_window(model: DriveModel, cfg: SimConfig = SimConfig()) -> float:
+    """Half-width T of the window [-T, T] that ``transition_probability`` integrates.
+
+    Uses cfg.window_half_width if set (validated against the asymptotic
+    condition, WindowTooSmallError if it fails), otherwise the automatic window.
+    """
+    if cfg.window_half_width is None:
+        return auto_window(model, cfg.window_scale_factor)
+    t_half = cfg.window_half_width
+    if not _edge_ok(model, t_half, cfg.window_scale_factor):
+        required = auto_window(model, cfg.window_scale_factor)
+        raise WindowTooSmallError(
+            f"window half-width {t_half} does not reach the asymptotic regime; "
+            f"need T >= {required:.6g}",
+            required_half_width=required,
+        )
+    return t_half
+
+
 def transition_probability(model: DriveModel, cfg: SimConfig = SimConfig()) -> float:
     """Excited-state population after evolving the ground state across the window.
 
-    Uses cfg.window_half_width if set (validated against the asymptotic
-    condition), otherwise the automatic window.
+    The window is the one ``_resolve_window`` gives.
     """
-    if cfg.window_half_width is None:
-        t_half = auto_window(model, cfg.window_scale_factor)
-    else:
-        t_half = cfg.window_half_width
-        if not _edge_ok(model, t_half, cfg.window_scale_factor):
-            required = auto_window(model, cfg.window_scale_factor)
-            raise WindowTooSmallError(
-                f"window half-width {t_half} does not reach the asymptotic regime; "
-                f"need T >= {required:.6g}",
-                required_half_width=required,
-            )
+    t_half = _resolve_window(model, cfg)
     u = propagate(model, -t_half, t_half, cfg)
     p = abs(u.entries[1]) ** 2
     return min(max(p, 0.0), 1.0)

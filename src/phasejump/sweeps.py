@@ -22,6 +22,7 @@ from .errors import DegenerateFieldError, InvalidArgumentError, PhasejumpError
 from .models import (
     DriveModel,
     ParabolicParams,
+    _check_parity,
     constant_detuning_pulse,
     parabolic,
     phase_jump,
@@ -33,7 +34,14 @@ from .analytic import (
     ica_propagator_reference,
     universal_probability,
 )
-from .propagation import SimConfig, auto_window, propagate, transition_probability
+from .propagation import (
+    SimConfig,
+    _mirror,
+    _resolve_window,
+    auto_window,
+    propagate,
+    transition_probability,
+)
 
 __all__ = [
     "METHODS",
@@ -202,13 +210,13 @@ def _evaluate_point(spec: SweepSpec, value: float):
     return (value, *out, float(failures)), notes
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepTable:
-    """Evaluate every grid point and gather the rows in grid order."""
+def _gather(spec: SweepSpec, evaluate, workers: int):
+    """Rows of ``evaluate(spec, value)`` in grid order, and the sweep's metadata."""
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda v: _evaluate_point(spec, v), spec.grid))
+            results = list(pool.map(lambda v: evaluate(spec, v), spec.grid))
     else:
-        results = [_evaluate_point(spec, v) for v in spec.grid]
+        results = [evaluate(spec, v) for v in spec.grid]
     rows = tuple(r for r, _ in results)
     notes = [n for _, ns in results for n in ns]
     sample_model = build_model(spec, spec.grid[0])
@@ -223,11 +231,33 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepTable:
     ]
     for note in notes:
         metadata.append(("diagnostic", note))
-    return SweepTable(
-        columns=(spec.param, *spec.methods, "failures"),
-        rows=rows,
-        metadata=tuple(metadata),
-    )
+    return rows, tuple(metadata)
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepTable:
+    """Evaluate every grid point and gather the rows in grid order."""
+    rows, metadata = _gather(spec, _evaluate_point, workers)
+    return SweepTable(columns=(spec.param, *spec.methods, "failures"), rows=rows,
+                      metadata=metadata)
+
+
+def _fig6_row(spec: SweepSpec, b: float):
+    """Reference and phase-jump probabilities at one b, from one half of the reference.
+
+    With U+ = U(T, 0) of the even reference, its window propagator is
+    ``_mirror(U+, 1)``.  The jump at t = 0 flips the coupling's sign for
+    t > 0, so the jump variant's propagator is sz ``_mirror(U+, -1)`` sz,
+    which has the same populations.
+    """
+    try:
+        model = build_model(spec, b)
+        t_half = _resolve_window(model, spec.config)
+        _check_parity(model)
+        half = propagate(model, 0.0, t_half, spec.config).entries
+    except PhasejumpError as exc:
+        return (b, math.nan, math.nan), [f"b={b:g} numeric: {exc}"]
+    ref, jump = (min(abs(_mirror(half, s)[1]) ** 2, 1.0) for s in (1, -1))
+    return (b, ref, jump), []
 
 
 # Figure datasets.  fig4's c values are not listed in the source material; the
@@ -254,19 +284,13 @@ def reproduce_figure(
     cfg = config if config is not None else SimConfig()
 
     if fig_id == "fig6":
-        ref = run_sweep(SweepSpec(grid=grid, c=0.0, param="b", methods=("numeric",),
-                                  config=cfg), workers)
-        jump = run_sweep(SweepSpec(grid=grid, c=0.0, param="b", phase_jump=True,
-                                   methods=("numeric",), config=cfg), workers)
-        rows = tuple(
-            (rr[0], rr[1], jr[1]) for rr, jr in zip(ref.rows, jump.rows)
-        )
-        merged = SweepTable(
+        spec = SweepSpec(grid=grid, c=0.0, param="b", methods=("numeric",), config=cfg)
+        rows, metadata = _gather(spec, _fig6_row, workers)
+        return [SweepTable(
             columns=("b", "numeric-reference", "numeric-phase-jump"),
             rows=rows,
-            metadata=(("figure", "fig6"), ("c", "0")) + ref.metadata,
-        )
-        return [merged]
+            metadata=(("figure", "fig6"), ("c", "0")) + metadata,
+        )]
 
     fig = _FIG_SETS[fig_id]
     tables = []

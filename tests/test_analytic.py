@@ -146,6 +146,11 @@ class TestLzScattering:
         with pytest.raises(InvalidArgumentError):
             lz_scattering(-1.0)
 
+    def test_subnormal_lambda(self):
+        # lam / (2e) underflows to 0 here; the Stokes phase tends to pi/4
+        assert stokes_phase(5e-324) == pytest.approx(0.25 * math.pi, abs=1e-15)
+        assert lz_scattering(5e-324).unitarity_defect() < 1e-14
+
 
 class TestDynamicalPhase:
     def test_uncoupled_closed_form(self):

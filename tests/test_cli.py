@@ -55,6 +55,14 @@ class TestSimulate:
         assert "error" in err
 
 
+    def test_subnormal_coupling_with_ica(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--b", "3e-162", "--c", "1",
+                                 "--with", "ica")
+        assert code == 0
+        assert "Traceback" not in err
+        assert "ica-reference:" in out
+
+
 class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from phasejump.errors import InvalidArgumentError, PhasejumpError
 from phasejump.models import (
+    DriveModel,
     ParabolicParams,
+    _check_parity,
     constant_detuning_pulse,
     parabolic,
     phase_jump,
@@ -184,6 +186,50 @@ def test_reference_models_are_even_in_time(model):
     for t in rng.uniform(-8.0, 8.0, size=1000):
         assert model.alpha_fn(-t) == pytest.approx(model.alpha_fn(t), abs=1e-12)
         assert model.v_fn(-t) == pytest.approx(model.v_fn(t), abs=1e-12)
+
+
+class TestParity:
+    def test_catalog_references_are_even(self):
+        assert parabolic(ParabolicParams(b=1.0, c=2.0)).parity == 1
+        assert superparabolic(ParabolicParams(b=1.0, c=2.0, n=3)).parity == 1
+        assert constant_detuning_pulse(delta=0.5, amplitude=1.0, half_width=2.0).parity == 1
+
+    def test_jump_at_zero_is_odd_elsewhere_undeclared(self):
+        ref = parabolic(ParabolicParams(b=1.0, c=2.0))
+        assert phase_jump(ref).parity == -1
+        assert phase_jump(ref, 0.5).parity == 0
+
+    def test_custom_drive_declares_nothing(self):
+        m = DriveModel(alpha_fn=lambda t: t, v_fn=lambda t: 1.0, phi_fn=lambda t: 0.0)
+        assert m.parity == 0
+        assert phase_jump(m).parity == 0
+        _check_parity(m)
+
+    def test_catalog_declarations_hold(self):
+        pulse = constant_detuning_pulse(delta=0.5, amplitude=1.0, half_width=1.0)
+        # right-limit sampling makes the pulse edges uneven; they are not probed
+        assert pulse.v_fn(-1.0) != pulse.v_fn(1.0)
+        # t**400 overflows at the outer probes, which then show nothing
+        steep = superparabolic(ParabolicParams(b=1.0, c=0.0, n=200))
+        for ref in (parabolic(ParabolicParams(b=1.0, c=2.0, a=0.7)), steep, pulse):
+            _check_parity(ref)
+            _check_parity(phase_jump(ref))
+
+    @pytest.mark.parametrize("fields, parity", [
+        ((lambda t: t, lambda t: 1.0, lambda t: 0.0), 1),           # odd alpha
+        ((lambda t: t * t, lambda t: 1.0 + 0.1 * t, lambda t: 0.0), 1),  # uneven V
+        ((lambda t: t * t, lambda t: 1.0, lambda t: 0.0), -1),      # no jump at 0
+        ((lambda t: t * t, lambda t: 1.0, lambda t: math.pi if t >= 0 else 0.0), 1),
+    ])
+    def test_wrong_declaration_rejected(self, fields, parity):
+        alpha, v, phi = fields
+        with pytest.raises(InvalidArgumentError):
+            _check_parity(DriveModel(alpha_fn=alpha, v_fn=v, phi_fn=phi, parity=parity))
+
+    def test_parity_value_validated(self):
+        with pytest.raises(InvalidArgumentError):
+            DriveModel(alpha_fn=lambda t: 0.0, v_fn=lambda t: 1.0,
+                       phi_fn=lambda t: 0.0, parity=2)
 
 
 @settings(max_examples=60)

@@ -1,6 +1,7 @@
 """SU(2) propagation core: exact steps, adaptive composition, windows."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from phasejump.errors import (
     WindowTooSmallError,
 )
 from phasejump.models import (
+    DriveModel,
     FieldSample,
     ParabolicParams,
     constant_detuning_pulse,
     parabolic,
     phase_jump,
+    superparabolic,
 )
 from phasejump.propagation import (
     ADIABATIC,
@@ -197,6 +200,76 @@ class TestPropagate:
             propagate(m, -5.0, 5.0, cfg)
         assert err.value.achieved_error is not None
         assert err.value.achieved_error > 0.0
+
+
+CATALOG_REFERENCES = {
+    "parabolic": parabolic(ParabolicParams(b=1.3, c=2.0, a=0.8)),
+    "superparabolic": superparabolic(ParabolicParams(b=0.9, c=-1.5, n=2)),
+    "const-detuning": constant_detuning_pulse(delta=0.7, amplitude=1.8, half_width=1.2),
+}
+CATALOG = [
+    pytest.param(jumped, id=f"{name}{'-jump' if jumped is not ref else ''}")
+    for name, ref in CATALOG_REFERENCES.items()
+    for jumped in (ref, phase_jump(ref))
+]
+
+
+def max_entry_gap(u, v):
+    return float(np.max(np.abs(np.asarray(u) - np.asarray(v))))
+
+
+class TestMirroredWindow:
+    """Symmetric windows of drives with declared parity integrate one half only."""
+
+    T = 2.5
+
+    @pytest.mark.parametrize("model", CATALOG)
+    def test_matches_split_composition(self, model):
+        whole = propagate(model, -self.T, self.T)
+        split = propagate(model, 0.0, self.T) @ propagate(model, -self.T, 0.0)
+        assert max_entry_gap(whole.matrix, split.matrix) < 1e-9
+
+    @pytest.mark.parametrize("model", CATALOG)
+    def test_matches_full_window_integration(self, model):
+        mirrored = propagate(model, -self.T, self.T)
+        full = propagate(replace(model, parity=0), -self.T, self.T)
+        assert max_entry_gap(mirrored.matrix, full.matrix) < 1e-9
+
+    @pytest.mark.parametrize("model", CATALOG)
+    def test_matches_fine_step_oracle(self, model):
+        ref = fine_step_propagator(model, -self.T, self.T, dt=1e-5)
+        assert max_entry_gap(propagate(model, -self.T, self.T).matrix, ref) < 1e-8
+
+    def test_random_catalog_models_at_their_windows(self):
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            p = ParabolicParams(b=rng.uniform(0.0, 3.0), c=rng.uniform(-5.0, 10.0))
+            m = parabolic(p) if rng.random() < 0.5 else superparabolic(replace(p, n=2))
+            if rng.random() < 0.5:
+                m = phase_jump(m)
+            t_half = min(auto_window(m), 12.0)
+            mirrored = propagate(m, -t_half, t_half)
+            full = propagate(replace(m, parity=0), -t_half, t_half)
+            assert max_entry_gap(mirrored.matrix, full.matrix) < 1e-9
+
+    def test_asymmetric_custom_drive_integrates_whole_window(self):
+        m = DriveModel(alpha_fn=lambda t: t * t - 1.0 + 0.5 * t,
+                       v_fn=lambda t: 1.0, phi_fn=lambda t: 0.0)
+        whole = propagate(m, -self.T, self.T)
+        split = propagate(m, 0.0, self.T) @ propagate(m, -self.T, 0.0)
+        assert max_entry_gap(whole.matrix, split.matrix) < 1e-9
+        # mirroring this drive's right half would be wrong
+        half = propagate(m, 0.0, self.T).matrix
+        assert max_entry_gap(whole.matrix, half @ half.T) > 1e-3
+
+    def test_parity_declared_on_asymmetric_drive_rejected(self):
+        m = DriveModel(alpha_fn=lambda t: t * t - 1.0 + 0.5 * t,
+                       v_fn=lambda t: 1.0, phi_fn=lambda t: 0.0, parity=1)
+        propagate(m, 0.0, self.T)  # no window to mirror
+        with pytest.raises(InvalidArgumentError):
+            propagate(m, -self.T, self.T)
+        with pytest.raises(InvalidArgumentError):
+            transition_probability(m)
 
 
 class TestEvolveState:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from phasejump.errors import InvalidArgumentError
-from phasejump.models import ParabolicParams, constant_detuning_pulse, parabolic
-from phasejump.propagation import SimConfig
+from phasejump.models import ParabolicParams, constant_detuning_pulse, parabolic, phase_jump
+from phasejump.propagation import SimConfig, transition_probability
 from phasejump.sweeps import (
     ConvergenceReport,
     SweepSpec,
@@ -116,6 +116,13 @@ class TestRunSweep:
         for name in ("numeric", "universal"):
             for x in table.column(name):
                 assert math.isnan(x) or 0.0 <= x <= 1.0
+
+    def test_subnormal_coupling_keeps_every_closed_form_row(self):
+        spec = SweepSpec(grid=(0.0, 3e-162, 0.5), c=1.0, methods=("ica-reference",))
+        table = run_sweep(spec)
+        assert [r[0] for r in table.rows] == [0.0, 3e-162, 0.5]
+        assert table.column("failures") == (0.0, 0.0, 0.0)
+        assert not any(math.isnan(p) for p in table.column("ica-reference"))
 
     def test_parallel_equals_serial(self):
         spec = SweepSpec(grid=tuple(np.linspace(0.0, 2.0, 9)), c=2.0,
@@ -226,6 +233,33 @@ class TestFigures:
         assert t.columns == ("b", "numeric-reference", "numeric-phase-jump")
         # the zero-area variant beats the reference well before the glancing peak
         assert t.rows[1][2] > t.rows[1][1]
+
+    def test_fig6_rows_match_direct_calls(self):
+        (t,) = reproduce_figure("fig6", b_grid=(0.0, 0.4, 1.3, 2.6), config=FAST)
+        for b, ref, jump in t.rows:
+            m = parabolic(ParabolicParams(b=b, c=0.0))
+            assert ref == pytest.approx(transition_probability(m, FAST), abs=1e-9)
+            assert jump == pytest.approx(transition_probability(phase_jump(m), FAST), abs=1e-9)
+
+    def test_fig6_uncoupled_row_is_exactly_zero(self):
+        (t,) = reproduce_figure("fig6", b_grid=(0.0, 1.0), config=FAST)
+        assert t.rows[0] == (0.0, 0.0, 0.0)
+
+    def test_fig6_window_too_small_gives_nan_and_diagnostic(self):
+        (t,) = reproduce_figure("fig6", b_grid=(1.0, 3.0),
+                                config=SimConfig(window_half_width=2.0))
+        for b, ref, jump in t.rows:
+            assert math.isnan(ref) and math.isnan(jump)
+        notes = [v for k, v in t.metadata if k == "diagnostic"]
+        assert len(notes) == 2
+        assert notes[0].startswith("b=1 numeric:")
+        assert "window half-width" in notes[0]
+
+    def test_fig6_metadata(self):
+        (t,) = reproduce_figure("fig6", b_grid=(0.5,), config=FAST)
+        assert (t.meta("figure"), t.meta("c")) == ("fig6", "0")
+        assert t.meta("phase_jump") == "false"
+        assert t.meta("label").startswith("parabolic(")
 
     def test_default_grid(self):
         g = default_grid()
