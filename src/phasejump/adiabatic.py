@@ -13,13 +13,12 @@ the diagonal and the non-adiabatic coupling gamma = theta_dot / 2 off it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import BasisMismatchError, DegenerateFieldError, InvalidArgumentError
 from .models import DriveModel, FieldSample, sample
-from .propagation import ADIABATIC, DIABATIC, Unitary2
+from .propagation import ADIABATIC, DIABATIC, Unitary2, _rotation
 
 __all__ = [
     "AdiabaticSample",
@@ -49,11 +48,7 @@ def mixing_angle(s: FieldSample) -> float:
 
 def rotation(s: FieldSample) -> Unitary2:
     """Basis-change matrix with the instantaneous eigenstates as its columns."""
-    th = mixing_angle(s)
-    c = math.cos(0.5 * th)
-    sn = math.sin(0.5 * th)
-    ph = cmath.exp(1j * s.phi)
-    return Unitary2((c, -sn / ph, sn * ph, c), DIABATIC)
+    return Unitary2(_rotation(mixing_angle(s), s.phi), DIABATIC)
 
 
 # Relative step for the finite-difference fallback in adiabatic_sample.

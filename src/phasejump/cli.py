@@ -68,8 +68,10 @@ def _add_sim_args(p):
     p.add_argument("--T", type=float, default=None,
                    help="integration half-width (default: automatic asymptotic window)")
     p.add_argument("--tol", type=float, default=1e-10, help="local error tolerance")
-    p.add_argument("--kappa", type=float, default=100.0,
-                   help="asymptotic window scale factor")
+    p.add_argument("--kappa", type=float, default=None,
+                   help="asymptotic window scale factor (default: 30 for the automatic "
+                        "window, read in the superadiabatic basis; 100 for checking --T, "
+                        "read in the diabatic basis)")
 
 
 def _build_parser():

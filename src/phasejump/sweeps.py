@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .adiabatic import to_adiabatic
-from .errors import DegenerateFieldError, InvalidArgumentError, PhasejumpError
+from .errors import InvalidArgumentError, PhasejumpError
 from .models import (
     DriveModel,
     ParabolicParams,
@@ -37,8 +36,8 @@ from .analytic import (
 from .propagation import (
     SimConfig,
     _mirror,
+    _readout,
     _resolve_window,
-    auto_window,
     propagate,
     transition_probability,
 )
@@ -246,17 +245,21 @@ def _fig6_row(spec: SweepSpec, b: float):
 
     With U+ = U(T, 0) of the even reference, its window propagator is
     ``_mirror(U+, 1)``.  The jump at t = 0 flips the coupling's sign for
-    t > 0, so the jump variant's propagator is sz ``_mirror(U+, -1)`` sz,
-    which has the same populations.
+    t > 0, so the jump variant's propagator is sz ``_mirror(U+, -1)`` sz.
+    Both are read as ``transition_probability`` reads them.
     """
+    cfg = spec.config
     try:
         model = build_model(spec, b)
-        t_half = _resolve_window(model, spec.config)
+        t_half = _resolve_window(model, cfg)
         _check_parity(model)
-        half = propagate(model, 0.0, t_half, spec.config).entries
+        half = propagate(model, 0.0, t_half, cfg).entries
+        auto = cfg.window_half_width is None
+        ref = _readout(_mirror(half, 1), model, t_half, auto)
+        u11, u12, u21, u22 = _mirror(half, -1)
+        jump = _readout((u11, -u12, -u21, u22), phase_jump(model), t_half, auto)
     except PhasejumpError as exc:
         return (b, math.nan, math.nan), [f"b={b:g} numeric: {exc}"]
-    ref, jump = (min(abs(_mirror(half, s)[1]) ** 2, 1.0) for s in (1, -1))
     return (b, ref, jump), []
 
 
@@ -313,24 +316,6 @@ def reproduce_figure(
 CONVERGENCE_DELTA = 1e-6
 
 
-def _window_probability(model: DriveModel, t_half: float, cfg: SimConfig) -> float:
-    """Transition probability over [-T, T], measured in the adiabatic basis.
-
-    The adiabatic populations settle once |alpha| >> V, while the diabatic
-    ones keep a small interference ripple of order V/alpha, so the adiabatic
-    reading is the one that converges under window doubling.  Both agree in
-    the asymptotic limit.  Falls back to the diabatic entry when the field is
-    degenerate at the window edge (e.g. zero coupling).
-    """
-    u = propagate(model, -t_half, t_half, cfg)
-    try:
-        ua = to_adiabatic(u, model, t_half, -t_half)
-        p = abs(ua.entries[2]) ** 2
-    except DegenerateFieldError:
-        p = abs(u.entries[1]) ** 2
-    return min(max(p, 0.0), 1.0)
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Probability versus doubled window and halved tolerance."""
@@ -371,19 +356,24 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Tabulate P against doubled windows and halved tolerance.
 
-    Windows double from the configured (or automatic) half-width until two
-    successive probabilities differ by less than ``threshold``; the tolerance
-    check then halves the local error tolerance at the final window.
+    Windows double from the configured half-width, or from the automatic
+    window of ``transition_probability``, until two successive probabilities
+    differ by less than ``threshold``; the tolerance check then halves the
+    local error tolerance at the final window.  Every window is read in the
+    first superadiabatic basis at its edges, the reading that settles as the
+    window grows.
     """
-    t0 = cfg.window_half_width if cfg.window_half_width is not None else auto_window(
-        model, cfg.window_scale_factor
-    )
-    window_rows = [(t0, _window_probability(model, t0, cfg))]
+    def probability(t_half, c):
+        u = propagate(model, -t_half, t_half, c)
+        return _readout(u.entries, model, t_half, superadiabatic=True)
+
+    t0 = cfg.window_half_width if cfg.window_half_width is not None else _resolve_window(model, cfg)
+    window_rows = [(t0, probability(t0, cfg))]
     window_converged = False
     t = t0
     for _ in range(max_doublings):
         t *= 2.0
-        window_rows.append((t, _window_probability(model, t, cfg)))
+        window_rows.append((t, probability(t, cfg)))
         if abs(window_rows[-1][1] - window_rows[-2][1]) < threshold:
             window_converged = True
             break
@@ -391,7 +381,7 @@ def convergence_report(
     half_tol = replace(cfg, local_error_tol=cfg.local_error_tol / 2.0)
     tolerance_rows = (
         (cfg.local_error_tol, window_rows[-1][1]),
-        (half_tol.local_error_tol, _window_probability(model, final_t, half_tol)),
+        (half_tol.local_error_tol, probability(final_t, half_tol)),
     )
     tolerance_converged = abs(tolerance_rows[1][1] - tolerance_rows[0][1]) < threshold
     return ConvergenceReport(

@@ -62,6 +62,14 @@ class TestSimulate:
         assert "Traceback" not in err
         assert "ica-reference:" in out
 
+    def test_steep_superparabolic_window_search(self, capsys):
+        # t ** 1200 leaves the float range early in the window scan
+        code, out, err = run_cli(capsys, "simulate", "--model", "superparabolic",
+                                 "--n", "600", "--b", "1")
+        assert code == 0
+        assert "Traceback" not in err
+        assert 0.0 <= float(out.split(":")[1]) <= 1.0
+
 
 class TestUsage:
     def test_help_exits_zero(self, capsys):

@@ -35,6 +35,7 @@ from phasejump.propagation import (
     su2_exp,
     transition_probability,
 )
+from phasejump.sweeps import convergence_report
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -201,6 +202,21 @@ class TestPropagate:
         assert err.value.achieved_error is not None
         assert err.value.achieved_error > 0.0
 
+    def test_non_finite_field_fails_at_first_rejected_trial(self):
+        nan_evals = []
+
+        def alpha(t):
+            if t <= 0.5:
+                return t
+            nan_evals.append(t)
+            return math.nan
+
+        m = DriveModel(alpha_fn=alpha, v_fn=lambda t: 1.0, phi_fn=lambda t: 0.0)
+        with pytest.raises(ConvergenceError):
+            propagate(m, 0.0, 1.0)
+        # one trial samples alpha at six nodes; shrinking the step cannot cure NaN
+        assert len(nan_evals) <= 6
+
 
 CATALOG_REFERENCES = {
     "parabolic": parabolic(ParabolicParams(b=1.3, c=2.0, a=0.8)),
@@ -360,6 +376,59 @@ class TestTransitionProbability:
         m = phase_jump(constant_detuning_pulse(delta=0.0, amplitude=1.3, half_width=2.0))
         p = transition_probability(m, SimConfig(window_half_width=2.25))
         assert p < 1e-9
+
+
+def landau_zener(v):
+    """alpha = t, constant coupling v: P = 1 - exp(-pi v^2) between -inf and inf."""
+    return DriveModel(alpha_fn=lambda t: t, v_fn=lambda t: v, phi_fn=lambda t: 0.0,
+                      label=f"landau-zener(v={v:g})",
+                      alpha_dot_fn=lambda t: 1.0, v_dot_fn=lambda t: 0.0)
+
+
+# (b, c, phase jump): glancing, double crossing and tunnelling
+READOUT_CASES = [(1.0, 0.0, False), (1.0, 0.0, True), (1.0, 10.0, False),
+                 (1.0, 10.0, True), (10.0, -10.0, True), (1.0, -1.0, True)]
+
+
+class TestReadout:
+    def test_landau_zener_at_automatic_window(self):
+        # alpha changes sign between the edges, so each edge state must be
+        # labelled by the diabatic state it tends to; the adiabatic labels
+        # would give exp(-pi/4) = 0.456 and the diabatic reading at T = 100 0.540
+        p = transition_probability(landau_zener(0.5))
+        assert p == pytest.approx(1.0 - math.exp(-math.pi * 0.25), abs=1e-6)
+
+    @pytest.mark.parametrize("b, c, jump", READOUT_CASES)
+    def test_default_window_matches_wide_window(self, b, c, jump):
+        m = parabolic(ParabolicParams(b=b, c=c))
+        if jump:
+            m = phase_jump(m)
+        wide = transition_probability(m, SimConfig(window_scale_factor=300.0))
+        assert transition_probability(m) == pytest.approx(wide, abs=1e-5)
+
+    def test_explicit_window_reads_diabatic_population(self):
+        m = phase_jump(parabolic(ParabolicParams(b=1.3, c=2.0)))
+        t_half = 25.0
+        p = transition_probability(m, SimConfig(window_half_width=t_half))
+        assert p == abs(propagate(m, -t_half, t_half).entries[1]) ** 2
+
+    def test_edge_at_vanishing_detuning(self):
+        # alpha(2) = 0 with V = 1: the edge basis is the adiabatic one rotated
+        # by atan(gamma/V), and no division by alpha may happen
+        report = convergence_report(parabolic(ParabolicParams(b=1.0, c=4.0)),
+                                    SimConfig(window_half_width=2.0))
+        assert report.window_rows[0][0] == 2.0
+        assert all(0.0 <= p <= 1.0 for _, p in report.window_rows)
+
+    def test_edge_at_pulse_discontinuity(self):
+        # -T is the switch-on time: no derivatives there, so the edge state is
+        # the adiabatic one of the right-limit field
+        m = constant_detuning_pulse(delta=1.0, amplitude=1.0, half_width=2.0)
+        report = convergence_report(m, SimConfig(window_half_width=2.0))
+        assert report.converged
+        # Rabi: P = (V / Omega)^2 sin^2(Omega * 2 hw) once the pulse is inside
+        assert report.window_rows[-1][1] == pytest.approx(
+            0.5 * math.sin(4.0 * math.sqrt(2.0)) ** 2, abs=1e-9)
 
 
 class TestSimConfig:

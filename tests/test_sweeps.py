@@ -241,6 +241,16 @@ class TestFigures:
             assert ref == pytest.approx(transition_probability(m, FAST), abs=1e-9)
             assert jump == pytest.approx(transition_probability(phase_jump(m), FAST), abs=1e-9)
 
+    def test_fig6_inversion_between_coarse_samples(self):
+        # complete inversion holds just above b = 2.1 too, where a diabatic
+        # reading of the window ripples below 0.99
+        grid = (2.102, 2.106, 2.11, 2.12, 2.14)
+        (t,) = reproduce_figure("fig6", b_grid=grid)
+        assert min(t.column("numeric-phase-jump")) >= 0.99
+        for b in grid:
+            m = phase_jump(parabolic(ParabolicParams(b=b, c=0.0)))
+            assert transition_probability(m) >= 0.99
+
     def test_fig6_uncoupled_row_is_exactly_zero(self):
         (t,) = reproduce_figure("fig6", b_grid=(0.0, 1.0), config=FAST)
         assert t.rows[0] == (0.0, 0.0, 0.0)
