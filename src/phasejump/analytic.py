@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
+from scipy.special import loggamma
 
 from .adiabatic import rotation
 from .errors import (
@@ -42,40 +43,15 @@ __all__ = [
 ]
 
 
-# Lanczos coefficients, g = 7, n = 9 (relative error below 1e-13 for Re z >= 1/2).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch log Gamma via the Lanczos approximation.
+    """Principal-branch log Gamma (scipy's ``loggamma``).
 
-    Reflection handles Re z < 1/2.  Poles (non-positive integers) raise
-    DomainError.
+    Poles (non-positive integers) raise DomainError.
     """
     z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
+    if z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer():
         raise DomainError(f"log-gamma pole at z={z}")
-    if z.real < 0.5:
-        # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        return cmath.log(math.pi) - cmath.log(cmath.sin(math.pi * z)) - log_gamma_complex(1.0 - z)
-    w = z - 1.0
-    x = _LANCZOS_C[0]
-    for i, coeff in enumerate(_LANCZOS_C[1:], start=1):
-        x += coeff / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(x)
+    return complex(loggamma(z))
 
 
 def stokes_phase(lam: float) -> float:

@@ -9,25 +9,24 @@ file records how it was produced.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
 
-from .errors import PhasejumpError
-from .models import ParabolicParams, sample
-from .analytic import (
-    ica_propagator_phase_jump,
-    ica_propagator_reference,
-    universal_probability,
-)
-from .propagation import SimConfig, transition_probability
+from .errors import InvalidArgumentError, PhasejumpError
+from .propagation import SimConfig
 from .sweeps import (
+    DEFAULT_GRID_MAX,
+    DEFAULT_GRID_STEP,
     FIGURE_IDS,
     METHODS,
     SweepSpec,
+    _ica_inapplicable,
+    _linear_grid,
+    _point_model,
     build_model,
     convergence_report,
-    default_grid,
     reproduce_figure,
     run_sweep,
     write_csv,
@@ -96,7 +95,6 @@ def _build_parser():
     p_sweep.add_argument("--step", type=float, required=True, help="grid spacing")
     p_sweep.add_argument("--methods", default="numeric",
                          help=f"comma list from {', '.join(METHODS)}")
-    p_sweep.add_argument("--workers", type=int, default=1, help="worker threads")
     p_sweep.add_argument("--out", default=None, help="output CSV path")
 
     p_fig = sub.add_parser("figure", help="write the dataset behind one figure")
@@ -105,7 +103,6 @@ def _build_parser():
                        help="override the default b-grid step of 0.025")
     p_fig.add_argument("--grid-max", type=float, default=None,
                        help="override the default b-grid end of 5.0")
-    p_fig.add_argument("--workers", type=int, default=1, help="worker threads")
     p_fig.add_argument("--out", default=None, help="output directory")
     _add_sim_args(p_fig)
 
@@ -145,18 +142,22 @@ def _parse_with(raw: str, phase_jump: bool) -> tuple[str, ...]:
     return tuple(dict.fromkeys(resolved))
 
 
-def _check_ica_applicable(methods, family, n, c, swept_c=False):
-    needs_crossing = [m for m in methods if m.startswith("ica")]
-    if not needs_crossing:
-        return
-    if family == "const-detuning":
-        raise _UsageError("independent-crossing methods apply to the parabolic family only")
-    if n != 1:
-        raise _UsageError("independent-crossing methods are defined for n=1 only")
-    if not swept_c and c <= 0.0:
-        raise _UsageError(
-            f"independent-crossing methods need a double crossing (c > 0), got c={c:g}"
-        )
+def _check_ica_applicable(spec: SweepSpec) -> None:
+    """Usage error unless the independent-crossing methods of ``spec`` apply.
+
+    The crossing check is skipped when c is swept: the grid may cross zero.
+    """
+    if any(m.startswith("ica") for m in spec.methods):
+        reason = _ica_inapplicable(spec.family, spec.n, None if spec.param == "c" else spec.c)
+        if reason is not None:
+            raise _UsageError(reason)
+
+
+def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    try:
+        return _linear_grid(start, stop, step)
+    except InvalidArgumentError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _spec_from_args(args, grid) -> SweepSpec:
@@ -179,38 +180,25 @@ def _default_out_dir() -> Path:
 
 
 def _cmd_simulate(args, invocation) -> int:
-    cfg = _sim_config(args)
     extras = _parse_with(args.with_methods, args.phase_jump)
-    _check_ica_applicable(extras, args.model, args.n, args.c)
     spec = SweepSpec(grid=(args.b,), family=args.model, a=args.a, b=args.b, c=args.c,
-                     n=args.n, phase_jump=args.phase_jump, config=cfg)
-    model = build_model(spec, args.b)
-    p = transition_probability(model, cfg)
-    print(f"numeric: {p:.12g}")
-    for method in extras:
-        if method == "universal":
-            s = sample(model, 0.0)
-            if s.v == 0.0 and s.alpha == 0.0:
-                print("universal: undefined (V(0) = alpha(0) = 0)")
-            else:
-                print(f"universal: {universal_probability(s.v, s.alpha):.12g}")
-        else:
-            pp = ParabolicParams(b=args.b, c=args.c, a=args.a)
-            res = (ica_propagator_phase_jump(pp) if method == "ica-phase-jump"
-                   else ica_propagator_reference(pp))
-            print(f"{method}: {res.p:.12g}")
+                     n=args.n, phase_jump=args.phase_jump, methods=("numeric", *extras),
+                     config=_sim_config(args))
+    _check_ica_applicable(spec)
+    kw = spec.params_at(args.b)
+    model = _point_model(spec, args.b)
+    for method in spec.methods:
+        p = METHODS[method](spec, kw, model)
+        # only the universal formula can be undefined once the ICA rule has passed
+        print(f"{method}: undefined (V(0) = alpha(0) = 0)" if math.isnan(p)
+              else f"{method}: {p:.12g}")
     return 0
 
 
 def _cmd_sweep(args, invocation) -> int:
-    if args.step <= 0.0 or args.max < args.min:
-        raise _UsageError("need step > 0 and max >= min")
-    npts = int(round((args.max - args.min) / args.step))
-    grid = tuple(round(args.min + k * args.step, 12) for k in range(npts + 1))
-    spec = _spec_from_args(args, grid)
-    swept_c = args.param == "c"
-    _check_ica_applicable(spec.methods, args.model, args.n, args.c, swept_c=swept_c)
-    table = run_sweep(spec, workers=args.workers).with_metadata(("invocation", invocation))
+    spec = _spec_from_args(args, _grid(args.min, args.max, args.step))
+    _check_ica_applicable(spec)
+    table = run_sweep(spec).with_metadata(("invocation", invocation))
     out = Path(args.out) if args.out else _default_out_dir() / "sweep.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(table, out)
@@ -221,11 +209,13 @@ def _cmd_sweep(args, invocation) -> int:
 def _cmd_figure(args, invocation) -> int:
     grid = None
     if args.grid_step is not None or args.grid_max is not None:
-        grid = default_grid(step=args.grid_step or 0.025, stop=args.grid_max or 5.0)
+        step = DEFAULT_GRID_STEP if args.grid_step is None else args.grid_step
+        stop = DEFAULT_GRID_MAX if args.grid_max is None else args.grid_max
+        grid = _grid(0.0, stop, step)
     cfg = _sim_config(args)
     out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = reproduce_figure(args.figure, b_grid=grid, config=cfg, workers=args.workers)
+    tables = reproduce_figure(args.figure, b_grid=grid, config=cfg)
     for table in tables:
         c_text = table.meta("c") or "0"
         path = out_dir / f"{args.figure}_{c_text}.csv"

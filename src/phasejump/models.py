@@ -116,6 +116,12 @@ def sample(model: DriveModel, t: float) -> FieldSample:
     return FieldSample(model.alpha_fn(t), model.v_fn(t), model.phi_fn(t))
 
 
+def _check_finite(**values: float) -> None:
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise InvalidArgumentError(f"{name} must be finite, got {x}")
+
+
 @dataclass(frozen=True)
 class ParabolicParams:
     """Parameters of the parabolic family: alpha(t) = a t^(2n) - c, V(t) = b.
@@ -131,6 +137,7 @@ class ParabolicParams:
     n: int = 1
 
     def __post_init__(self):
+        _check_finite(a=self.a, b=self.b, c=self.c)
         if self.a <= 0.0:
             raise InvalidArgumentError(f"curvature must be positive, got a={self.a}")
         if self.b < 0.0:
@@ -181,6 +188,7 @@ def constant_detuning_pulse(delta: float, amplitude: float, half_width: float) -
     The coupling is on for -half_width <= t < half_width (half-open so that
     sampling at the trailing edge returns the right-limit value 0).
     """
+    _check_finite(delta=delta, amplitude=amplitude, half_width=half_width)
     if amplitude < 0.0:
         raise InvalidArgumentError(f"amplitude must be >= 0, got {amplitude}")
     if half_width <= 0.0:

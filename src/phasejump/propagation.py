@@ -202,6 +202,8 @@ _CF4_NODE1 = 0.5 - _SQRT3 / 6.0
 _CF4_NODE2 = 0.5 + _SQRT3 / 6.0
 _CF4_W1 = 0.25 - _SQRT3 / 6.0
 _CF4_W2 = 0.25 + _SQRT3 / 6.0
+# global order, which sets the step-doubling error scale and the step growth
+_CF4_ORDER = 4
 
 
 def _make_trial_cf4(model, segment_phi):
@@ -281,56 +283,23 @@ def _make_trial_cf4(model, segment_phi):
     return trial
 
 
-def _make_trial_midpoint(model, segment_phi):
-    af, vf = model.alpha_fn, model.v_fn
-    cp = _cos(segment_phi) if segment_phi != 0.0 else 1.0
-    sp = _sin(segment_phi) if segment_phi != 0.0 else 0.0
-
-    def sub_step(t, h):
-        tm = t + 0.5 * h
-        v = vf(tm)
-        return _exp_field(v * cp, v * sp, af(tm), h)
-
-    def trial(t, h):
-        tm = t + 0.5 * h
-        v = vf(tm)
-        fz = af(tm)
-        om = _sqrt(v * v + fz * fz)
-        b11, b12, b21, b22 = _exp_field(v * cp, v * sp, fz, h)
-        half = 0.5 * h
-        fine = _mul(sub_step(t + half, half), sub_step(t, half))
-        err = max(
-            abs(b11 - fine[0]),
-            abs(b12 - fine[1]),
-            abs(b21 - fine[2]),
-            abs(b22 - fine[3]),
-        )
-        return fine, err, om
-
-    return trial
-
-
-_STEPPERS = {"cf4": (_make_trial_cf4, 4), "midpoint": (_make_trial_midpoint, 2)}
-
-DEFAULT_SCHEME = "cf4"
-
 # Largest phase Omega*h a step may span.  The step-doubling error estimate is
 # only trustworthy when the step resolves the oscillation; beyond a quarter
 # period the full and halved steps can alias into accidental agreement.
 _PHASE_CAP = 0.5 * math.pi
 
 
-def _integrate_segment(model, t0, t1, cfg, make_trial, order, u0):
+def _integrate_segment(model, t0, t1, cfg, u0):
     """Adaptively integrate over (t0, t1) free of discontinuities; u0 composes on the right."""
     span = t1 - t0
     if span == 0.0:
         return u0
     # phi is piecewise constant with jumps only at discontinuities, and the
     # segment contains none, so one interior sample fixes it
-    trial = make_trial(model, model.phi_fn(t0 + 0.5 * span))
+    trial = _make_trial_cf4(model, model.phi_fn(t0 + 0.5 * span))
     direction = 1.0 if span > 0.0 else -1.0
-    denom = float(2 ** order - 1)
-    grow = 1.0 / (order + 1.0)
+    denom = float(2 ** _CF4_ORDER - 1)
+    grow = 1.0 / (_CF4_ORDER + 1.0)
     tol = cfg.local_error_tol
     max_step = cfg.max_step
     min_step = cfg.min_step
@@ -376,14 +345,14 @@ def _integrate_segment(model, t0, t1, cfg, make_trial, order, u0):
     return u
 
 
-def _integrate(model, t0, t1, cfg, make_step, order):
+def _integrate(model, t0, t1, cfg):
     """Entries of U(t1, t0), one adaptive run per discontinuity-free segment."""
     lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
     cuts = sorted(d for d in model.discontinuities if lo < d < hi)
     knots = [t0] + (cuts if t0 <= t1 else cuts[::-1]) + [t1]
     u = _IDENTITY
     for a, b in zip(knots[:-1], knots[1:]):
-        u = _integrate_segment(model, a, b, cfg, make_step, order, u)
+        u = _integrate_segment(model, a, b, cfg, u)
     return u
 
 
@@ -402,7 +371,6 @@ def propagate(
     t0: float,
     t1: float,
     cfg: SimConfig = SimConfig(),
-    scheme: Optional[str] = None,
 ) -> Unitary2:
     """Diabatic propagator U(t1, t0) by adaptive composition of exact SU(2) steps.
 
@@ -414,7 +382,7 @@ def propagate(
     A symmetric window (t0 = -T, t1 = T > 0) of a model with declared parity
     is integrated over [0, T] only and mirrored: with U+ = U(T, 0) and S = 1
     for parity +1 or sigma_z for parity -1, U(T, -T) = U+ S U+^T S.  H is
-    real, and the transpose of a CF4 or midpoint step is the same step on the
+    real, and the transpose of a CF4 step is the same step on the
     mirrored interval, so this is full-window integration with the mirrored
     step sequence, not an approximation.  A declared parity the fields do not
     show raises InvalidArgumentError; models with parity 0 are integrated over
@@ -422,15 +390,11 @@ def propagate(
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise InvalidArgumentError(f"non-finite interval ({t0}, {t1})")
-    name = scheme or DEFAULT_SCHEME
-    if name not in _STEPPERS:
-        raise InvalidArgumentError(f"unknown scheme {name!r}; choose from {sorted(_STEPPERS)}")
-    make_step, order = _STEPPERS[name]
     if model.parity and t0 == -t1 and t1 > 0.0:
         _check_parity(model)
-        half = _integrate(model, 0.0, t1, cfg, make_step, order)
+        half = _integrate(model, 0.0, t1, cfg)
         return Unitary2(_mirror(half, model.parity), DIABATIC)
-    return Unitary2(_integrate(model, t0, t1, cfg, make_step, order), DIABATIC)
+    return Unitary2(_integrate(model, t0, t1, cfg), DIABATIC)
 
 
 def evolve_state(u: Unitary2, psi: StateVector) -> StateVector:

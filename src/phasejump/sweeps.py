@@ -2,17 +2,18 @@
 
 A sweep evaluates one model family over a grid of one parameter with a chosen
 set of methods (direct numerics plus the closed-form approximations) and
-collects the results into a rectangular table.  Points are independent, so a
-sweep may run on several worker threads; results are gathered in grid order
-either way, and identical inputs produce identical tables.
+collects the results into a rectangular table, one row per grid point in grid
+order; identical inputs produce identical tables.  ``METHODS`` maps each
+method name to the one function that evaluates it, which the CLI's
+``simulate`` uses as well.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -55,7 +56,6 @@ __all__ = [
     "build_model",
 ]
 
-METHODS = ("numeric", "ica-reference", "ica-phase-jump", "universal")
 FAMILIES = ("parabolic", "superparabolic", "const-detuning")
 
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6")
@@ -65,9 +65,21 @@ DEFAULT_GRID_STEP = 0.025
 DEFAULT_GRID_MAX = 5.0
 
 
+def _linear_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """start, start + step, ... up to stop (inclusive, to the nearest step), rounded to 12 places."""
+    where = f"start={start}, stop={stop}, step={step}"
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
+        raise InvalidArgumentError(f"grid bounds and step must be finite, got {where}")
+    if step <= 0.0 or stop < start:
+        raise InvalidArgumentError(f"grid needs step > 0 and stop >= start, got {where}")
+    count = (stop - start) / step
+    if not math.isfinite(count):
+        raise InvalidArgumentError(f"grid has too many points: {where}")
+    return tuple(round(start + k * step, 12) for k in range(int(round(count)) + 1))
+
+
 def default_grid(step: float = DEFAULT_GRID_STEP, stop: float = DEFAULT_GRID_MAX) -> tuple[float, ...]:
-    n = int(round(stop / step))
-    return tuple(round(k * step, 12) for k in range(n + 1))
+    return _linear_grid(0.0, stop, step)
 
 
 @dataclass(frozen=True)
@@ -104,7 +116,7 @@ class SweepSpec:
             raise InvalidArgumentError("need at least one method")
         for m in self.methods:
             if m not in METHODS:
-                raise InvalidArgumentError(f"unknown method {m!r}; choose from {METHODS}")
+                raise InvalidArgumentError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
 
     def params_at(self, value: float) -> dict:
         kw = {"a": self.a, "b": self.b, "c": self.c, "n": self.n}
@@ -115,15 +127,74 @@ class SweepSpec:
 def build_model(spec: SweepSpec, value: float) -> DriveModel:
     """Instantiate the drive model of ``spec`` with the swept parameter set to ``value``."""
     kw = spec.params_at(value)
-    if spec.family == "parabolic":
-        m = parabolic(ParabolicParams(b=kw["b"], c=kw["c"], a=kw["a"]))
-    elif spec.family == "superparabolic":
-        m = superparabolic(ParabolicParams(b=kw["b"], c=kw["c"], n=kw["n"]))
-    else:
+    if spec.family == "const-detuning":
         m = constant_detuning_pulse(delta=kw["c"], amplitude=kw["b"], half_width=kw["a"])
+    else:
+        family = parabolic if spec.family == "parabolic" else superparabolic
+        m = family(ParabolicParams(b=kw["b"], c=kw["c"], a=kw["a"], n=kw["n"]))
     if spec.phase_jump:
         m = phase_jump(m)
     return m
+
+
+# ---------------------------------------------------------------------------
+# methods: name -> f(spec, params, model) with params from SweepSpec.params_at
+# and model() building the point's drive on first call; f returns P, or NaN
+# where the method does not apply
+# ---------------------------------------------------------------------------
+
+def _ica_inapplicable(family: str, n: int, c: Optional[float]) -> Optional[str]:
+    """Why the independent-crossing methods do not apply, or None if they do.
+
+    ``c`` of None skips the crossing check, for a sweep over c.
+    """
+    if family == "const-detuning":
+        return "independent-crossing methods apply to the parabolic family only"
+    if n != 1:
+        return "independent-crossing methods are defined for n=1 only"
+    if c is not None and not c > 0.0:
+        return f"independent-crossing methods need a double crossing (c > 0), got c={c:g}"
+    return None
+
+
+def _crossing_params(spec: SweepSpec, kw: dict) -> Optional[ParabolicParams]:
+    if _ica_inapplicable(spec.family, kw["n"], kw["c"]) is not None:
+        return None
+    return ParabolicParams(b=kw["b"], c=kw["c"], a=kw["a"])
+
+
+def _numeric(spec, kw, model):
+    return transition_probability(model(), spec.config)
+
+
+def _ica_reference(spec, kw, model):
+    p = _crossing_params(spec, kw)
+    return math.nan if p is None else ica_propagator_reference(p).p
+
+
+def _ica_phase_jump(spec, kw, model):
+    p = _crossing_params(spec, kw)
+    return math.nan if p is None else ica_propagator_phase_jump(p).p
+
+
+def _universal(spec, kw, model):
+    s = sample(model(), 0.0)
+    if s.v == 0.0 and s.alpha == 0.0:
+        return math.nan
+    return universal_probability(s.v, s.alpha)
+
+
+METHODS = {
+    "numeric": _numeric,
+    "ica-reference": _ica_reference,
+    "ica-phase-jump": _ica_phase_jump,
+    "universal": _universal,
+}
+
+
+def _point_model(spec: SweepSpec, value: float):
+    """model() for METHODS: the point's drive, built on the first call."""
+    return functools.cache(functools.partial(build_model, spec, value))
 
 
 @dataclass(frozen=True)
@@ -170,52 +241,25 @@ def _spec_digest(spec: SweepSpec) -> str:
 def _evaluate_point(spec: SweepSpec, value: float):
     """One sweep row: requested method values plus a failure count.
 
-    Structurally inapplicable methods give NaN; methods that raise record NaN,
-    bump the failure count and keep a diagnostic message.
+    Inapplicable methods give NaN; methods that raise record NaN, bump the
+    failure count and keep a diagnostic message.
     """
     kw = spec.params_at(value)
+    model = _point_model(spec, value)
     out = []
-    failures = 0
     notes = []
-    model = None
     for method in spec.methods:
         try:
-            if method == "numeric":
-                if model is None:
-                    model = build_model(spec, value)
-                out.append(transition_probability(model, spec.config))
-            elif method in ("ica-reference", "ica-phase-jump"):
-                applicable = spec.family != "const-detuning" and kw["n"] == 1 and kw["c"] > 0.0
-                if not applicable:
-                    out.append(math.nan)
-                    continue
-                p = ParabolicParams(b=kw["b"], c=kw["c"], a=kw["a"])
-                if method == "ica-reference":
-                    out.append(ica_propagator_reference(p).p)
-                else:
-                    out.append(ica_propagator_phase_jump(p).p)
-            else:
-                if model is None:
-                    model = build_model(spec, value)
-                s = sample(model, 0.0)
-                if s.v == 0.0 and s.alpha == 0.0:
-                    out.append(math.nan)
-                    continue
-                out.append(universal_probability(s.v, s.alpha))
+            out.append(METHODS[method](spec, kw, model))
         except PhasejumpError as exc:
             out.append(math.nan)
-            failures += 1
             notes.append(f"{spec.param}={value:g} {method}: {exc}")
-    return (value, *out, float(failures)), notes
+    return (value, *out, float(len(notes))), notes
 
 
-def _gather(spec: SweepSpec, evaluate, workers: int):
+def _gather(spec: SweepSpec, evaluate):
     """Rows of ``evaluate(spec, value)`` in grid order, and the sweep's metadata."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda v: evaluate(spec, v), spec.grid))
-    else:
-        results = [evaluate(spec, v) for v in spec.grid]
+    results = [evaluate(spec, v) for v in spec.grid]
     rows = tuple(r for r, _ in results)
     notes = [n for _, ns in results for n in ns]
     sample_model = build_model(spec, spec.grid[0])
@@ -233,9 +277,9 @@ def _gather(spec: SweepSpec, evaluate, workers: int):
     return rows, tuple(metadata)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepTable:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every grid point and gather the rows in grid order."""
-    rows, metadata = _gather(spec, _evaluate_point, workers)
+    rows, metadata = _gather(spec, _evaluate_point)
     return SweepTable(columns=(spec.param, *spec.methods, "failures"), rows=rows,
                       metadata=metadata)
 
@@ -278,7 +322,6 @@ def reproduce_figure(
     fig_id: str,
     b_grid: Optional[tuple[float, ...]] = None,
     config: Optional[SimConfig] = None,
-    workers: int = 1,
 ) -> list[SweepTable]:
     """Produce the sweep tables behind one of the figure datasets (fig2..fig6)."""
     if fig_id not in FIGURE_IDS:
@@ -288,7 +331,7 @@ def reproduce_figure(
 
     if fig_id == "fig6":
         spec = SweepSpec(grid=grid, c=0.0, param="b", methods=("numeric",), config=cfg)
-        rows, metadata = _gather(spec, _fig6_row, workers)
+        rows, metadata = _gather(spec, _fig6_row)
         return [SweepTable(
             columns=("b", "numeric-reference", "numeric-phase-jump"),
             rows=rows,
@@ -300,7 +343,7 @@ def reproduce_figure(
     for c in fig["cs"]:
         spec = SweepSpec(grid=grid, c=c, param="b", phase_jump=fig["phase_jump"],
                          methods=fig["methods"], config=cfg)
-        table = run_sweep(spec, workers).with_metadata(("figure", fig_id), ("c", f"{c:g}"))
+        table = run_sweep(spec).with_metadata(("figure", fig_id), ("c", f"{c:g}"))
         if fig_id == "fig4":
             table = table.with_metadata(
                 ("note", "c values assumed equal to the fig3 set")

@@ -205,7 +205,7 @@ def test_criterion_10_performance():
     grid = tuple(round(5.0 * k / 299, 10) for k in range(300))
     spec = SweepSpec(grid=grid, c=0.0, param="b", methods=("numeric",))
     start = time.perf_counter()
-    run_sweep(spec, workers=1)
+    run_sweep(spec)
     sweep_time = time.perf_counter() - start
     report(10, "single evaluation and 300-point sweep within budget",
            single <= 0.100 and sweep_time <= 30.0,

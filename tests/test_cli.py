@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from phasejump import sweeps
 from phasejump.cli import main
+from phasejump.propagation import SimConfig
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +64,43 @@ class TestSimulate:
         assert "Traceback" not in err
         assert "ica-reference:" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("--model", "parabolic", "--n", "2", "--b", "1", "--c", "1"),
+        ("--model", "superparabolic", "--n", "2", "--a", "2", "--b", "1"),
+        ("--model", "const-detuning", "--b", "1", "--a", "nan"),
+        ("--model", "const-detuning", "--b", "1", "--a", "inf"),
+        ("--b", "1", "--c", "nan"),
+    ])
+    def test_rejected_model_parameters_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("phase_jump", [False, True])
+    def test_matches_one_point_sweep(self, capsys, monkeypatch, phase_jump):
+        # simulate evaluates the sweep's method table: same values, bit for bit
+        flags = ("--phase-jump",) if phase_jump else ()
+        printed = {}
+        for name, method in list(sweeps.METHODS.items()):
+            def recorded(spec, kw, model, name=name, method=method):
+                printed[name] = method(spec, kw, model)
+                return printed[name]
+            monkeypatch.setitem(sweeps.METHODS, name, recorded)
+        code, out, _ = run_cli(capsys, "simulate", "--b", "0.8", "--c", "4", "--tol", "1e-8",
+                               "--with", "all", *flags)
+        monkeypatch.undo()
+        assert code == 0
+        # the two flag settings between them run every method in the table
+        ica = "ica-phase-jump" if phase_jump else "ica-reference"
+        assert list(printed) == ["numeric", ica, "universal"]
+        assert {*printed, "ica-reference", "ica-phase-jump"} == set(sweeps.METHODS)
+        spec = sweeps.SweepSpec(grid=(0.8,), c=4.0, phase_jump=phase_jump,
+                                methods=tuple(printed), config=SimConfig(local_error_tol=1e-8))
+        row = sweeps.run_sweep(spec).rows[0]
+        assert dict(zip(spec.methods, row[1:])) == printed
+        assert out.splitlines() == [f"{m}: {p:.12g}" for m, p in printed.items()]
+
     def test_steep_superparabolic_window_search(self, capsys):
         # t ** 1200 leaves the float range early in the window scan
         code, out, err = run_cli(capsys, "simulate", "--model", "superparabolic",
@@ -86,7 +125,7 @@ class TestUsage:
             assert flag in out
         _, out, _ = run_cli(capsys, "sweep", "--help")
         for flag in ("--param", "--min", "--max", "--step", "--methods",
-                     "--workers", "--out"):
+                     "--out"):
             assert flag in out
 
     def test_unknown_flag_exits_one(self, capsys):
@@ -102,6 +141,25 @@ class TestUsage:
         code, _, err = run_cli(capsys, "sweep", "--min", "1", "--max", "0",
                                "--step", "0.5")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--min", "0", "--max", "1", "--step", "nan"),
+        ("sweep", "--min", "nan", "--max", "1", "--step", "0.5"),
+        ("sweep", "--min", "0", "--max", "inf", "--step", "0.5"),
+        ("sweep", "--min", "0", "--max", "1", "--step", "0"),
+        ("sweep", "--min", "0", "--max", "1", "--step", "-0.5"),
+        ("sweep", "--min", "0", "--max", "1", "--step", "1e-320"),
+        ("figure", "fig6", "--grid-step", "nan"),
+        ("figure", "fig6", "--grid-step", "0"),
+        ("figure", "fig6", "--grid-step", "-1"),
+        ("figure", "fig6", "--grid-max", "inf"),
+    ])
+    def test_bad_grid_is_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("usage error: grid")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:

@@ -51,7 +51,13 @@ class TestParabolic:
     @pytest.mark.parametrize("kwargs", [dict(a=0.0, b=1.0, c=0.0),
                                         dict(a=-1.0, b=1.0, c=0.0),
                                         dict(a=1.0, b=-0.5, c=0.0),
-                                        dict(a=1.0, b=1.0, c=0.0, n=0)])
+                                        dict(a=1.0, b=1.0, c=0.0, n=0),
+                                        dict(a=math.nan, b=1.0, c=0.0),
+                                        dict(a=math.inf, b=1.0, c=0.0),
+                                        dict(a=1.0, b=math.nan, c=0.0),
+                                        dict(a=1.0, b=math.inf, c=0.0),
+                                        dict(a=1.0, b=1.0, c=math.nan),
+                                        dict(a=1.0, b=1.0, c=-math.inf)])
     def test_invalid_params(self, kwargs):
         with pytest.raises(InvalidArgumentError):
             ParabolicParams(**kwargs)
@@ -136,6 +142,13 @@ class TestConstantDetuningPulse:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(InvalidArgumentError):
             constant_detuning_pulse(delta=0.0, amplitude=-1.0, half_width=1.0)
+
+    @pytest.mark.parametrize("kwargs", [dict(delta=math.nan), dict(delta=-math.inf),
+                                        dict(amplitude=math.nan), dict(amplitude=math.inf),
+                                        dict(half_width=math.nan), dict(half_width=math.inf)])
+    def test_non_finite_parameters_rejected(self, kwargs):
+        with pytest.raises(InvalidArgumentError):
+            constant_detuning_pulse(**{"delta": 0.0, "amplitude": 1.0, "half_width": 1.0, **kwargs})
 
 
 class TestSample:

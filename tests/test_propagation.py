@@ -129,19 +129,6 @@ class TestPropagate:
         u = propagate(m, -t_half, t_half, SimConfig(window_half_width=t_half))
         assert np.max(np.abs(u.matrix - ref)) < 1e-8
 
-    def test_midpoint_scheme_available(self):
-        # second-order fallback agrees with the default scheme at its own
-        # (coarser) global accuracy
-        m = parabolic(ParabolicParams(b=1.0, c=1.0))
-        u4 = propagate(m, -1.0, 1.0)
-        u2 = propagate(m, -1.0, 1.0, scheme="midpoint")
-        assert np.max(np.abs(u4.matrix - u2.matrix)) < 1e-6
-
-    def test_unknown_scheme_rejected(self):
-        m = parabolic(ParabolicParams(b=1.0, c=1.0))
-        with pytest.raises(InvalidArgumentError):
-            propagate(m, 0.0, 1.0, scheme="rk4")
-
     def test_composition_over_random_splits(self):
         rng = np.random.default_rng(11)
         cfg = SimConfig(window_half_width=50.0)

@@ -69,6 +69,17 @@ class TestSweepSpec:
         assert m.v_fn(0.0) == 1.5
         assert m.discontinuities == (-2.0, 2.0)
 
+    @pytest.mark.parametrize("family, a, n", [("parabolic", 1.0, 2), ("superparabolic", 2.0, 2)])
+    def test_build_model_keeps_every_parameter(self, family, a, n):
+        # parabolic() takes n = 1 only, and n > 1 fixes the curvature to 1
+        spec = SweepSpec(grid=(1.0,), family=family, a=a, c=1.0, n=n)
+        with pytest.raises(InvalidArgumentError):
+            build_model(spec, 1.0)
+
+    def test_build_superparabolic_n1_keeps_curvature(self):
+        spec = SweepSpec(grid=(1.0,), family="superparabolic", a=2.0, c=1.0)
+        assert build_model(spec, 1.0).alpha_fn(1.0) == 1.0
+
 
 class TestRunSweep:
     def test_single_point_no_coupling(self):
@@ -123,14 +134,6 @@ class TestRunSweep:
         assert [r[0] for r in table.rows] == [0.0, 3e-162, 0.5]
         assert table.column("failures") == (0.0, 0.0, 0.0)
         assert not any(math.isnan(p) for p in table.column("ica-reference"))
-
-    def test_parallel_equals_serial(self):
-        spec = SweepSpec(grid=tuple(np.linspace(0.0, 2.0, 9)), c=2.0,
-                         methods=("numeric", "ica-reference"), config=FAST)
-        serial = run_sweep(spec, workers=1)
-        parallel = run_sweep(spec, workers=4)
-        assert serial.rows == parallel.rows
-        assert strip_timestamp(render(serial)) == strip_timestamp(render(parallel))
 
     def test_deterministic_output(self):
         spec = SweepSpec(grid=(0.0, 1.0), c=3.0, methods=("numeric",), config=FAST)
@@ -276,6 +279,12 @@ class TestFigures:
         assert g[0] == 0.0 and g[-1] == 5.0
         assert len(g) == 201
         assert g[1] == 0.025
+
+    @pytest.mark.parametrize("step, stop", [(math.nan, 5.0), (0.1, math.inf), (0.0, 5.0),
+                                            (-1.0, 5.0), (1e-320, 5.0), (0.1, -1.0)])
+    def test_default_grid_rejects_bad_bounds(self, step, stop):
+        with pytest.raises(InvalidArgumentError):
+            default_grid(step, stop)
 
 
 class TestConvergenceReport:
