@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.integrate import quad
@@ -151,9 +152,6 @@ class IcaResult:
             raise InvalidArgumentError(f"probability out of range: {self.p}")
 
 
-_SIGMA_Z = (1.0 + 0.0j, 0.0j, 0.0j, -1.0 + 0.0j)
-
-
 def _sz_conj(u: Unitary2) -> Unitary2:
     a, b, c, d = u.entries
     return Unitary2((a, -b, -c, d), u.basis)
@@ -223,4 +221,9 @@ def universal_probability(v0: float, alpha0: float) -> float:
     """
     if v0 == 0.0 and alpha0 == 0.0:
         raise DegenerateFieldError("universal probability undefined for a vanishing field")
-    return v0 * v0 / (v0 * v0 + alpha0 * alpha0)
+    total = v0 * v0 + alpha0 * alpha0
+    if not sys.float_info.min <= total < math.inf:
+        # the squares underflow to zero or subnormals, or overflow; the scaled
+        # ratio does neither
+        return (abs(v0) / math.hypot(v0, alpha0)) ** 2
+    return v0 * v0 / total

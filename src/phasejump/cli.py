@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import InvalidArgumentError, PhasejumpError
-from .propagation import SimConfig
+from .propagation import _AUTO_KAPPA, _CHECK_KAPPA, SimConfig
 from .sweeps import (
     DEFAULT_GRID_MAX,
     DEFAULT_GRID_STEP,
@@ -66,11 +66,12 @@ def _add_model_args(p):
 def _add_sim_args(p):
     p.add_argument("--T", type=float, default=None,
                    help="integration half-width (default: automatic asymptotic window)")
-    p.add_argument("--tol", type=float, default=1e-10, help="local error tolerance")
+    p.add_argument("--tol", type=float, default=SimConfig.local_error_tol,
+                   help="local error tolerance")
     p.add_argument("--kappa", type=float, default=None,
-                   help="asymptotic window scale factor (default: 30 for the automatic "
-                        "window, read in the superadiabatic basis; 100 for checking --T, "
-                        "read in the diabatic basis)")
+                   help=f"asymptotic window scale factor (default: {_AUTO_KAPPA:g} for the "
+                        f"automatic window, read in the superadiabatic basis; {_CHECK_KAPPA:g} "
+                        "for checking --T, read in the diabatic basis)")
 
 
 def _build_parser():
@@ -100,9 +101,9 @@ def _build_parser():
     p_fig = sub.add_parser("figure", help="write the dataset behind one figure")
     p_fig.add_argument("figure", choices=FIGURE_IDS)
     p_fig.add_argument("--grid-step", type=float, default=None,
-                       help="override the default b-grid step of 0.025")
+                       help=f"override the default b-grid step of {DEFAULT_GRID_STEP}")
     p_fig.add_argument("--grid-max", type=float, default=None,
-                       help="override the default b-grid end of 5.0")
+                       help=f"override the default b-grid end of {DEFAULT_GRID_MAX}")
     p_fig.add_argument("--out", default=None, help="output directory")
     _add_sim_args(p_fig)
 
@@ -142,17 +143,6 @@ def _parse_with(raw: str, phase_jump: bool) -> tuple[str, ...]:
     return tuple(dict.fromkeys(resolved))
 
 
-def _check_ica_applicable(spec: SweepSpec) -> None:
-    """Usage error unless the independent-crossing methods of ``spec`` apply.
-
-    The crossing check is skipped when c is swept: the grid may cross zero.
-    """
-    if any(m.startswith("ica") for m in spec.methods):
-        reason = _ica_inapplicable(spec.family, spec.n, None if spec.param == "c" else spec.c)
-        if reason is not None:
-            raise _UsageError(reason)
-
-
 def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     try:
         return _linear_grid(start, stop, step)
@@ -160,19 +150,24 @@ def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
         raise _UsageError(str(exc)) from exc
 
 
-def _spec_from_args(args, grid) -> SweepSpec:
-    return SweepSpec(
-        grid=grid,
-        family=args.model,
-        a=args.a,
-        b=args.b,
-        c=args.c,
-        n=args.n,
-        phase_jump=args.phase_jump,
-        param=args.param,
-        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        config=_sim_config(args),
-    )
+def _spec_from_args(args, grid, methods, param) -> SweepSpec:
+    """The spec of the model and simulation flags.
+
+    A spec that ``SweepSpec`` rejects, or independent-crossing methods where
+    they do not apply, is a usage error.  The crossing check is skipped when
+    c is swept: the grid may cross zero.
+    """
+    config = _sim_config(args)  # a rejected SimConfig stays exit 2, as in `figure`
+    try:
+        spec = SweepSpec(grid=grid, family=args.model, a=args.a, b=args.b, c=args.c, n=args.n,
+                         phase_jump=args.phase_jump, param=param, methods=methods, config=config)
+    except InvalidArgumentError as exc:
+        raise _UsageError(str(exc)) from exc
+    if any(m.startswith("ica") for m in methods):
+        reason = _ica_inapplicable(spec.family, spec.n, None if param == "c" else spec.c)
+        if reason is not None:
+            raise _UsageError(reason)
+    return spec
 
 
 def _default_out_dir() -> Path:
@@ -181,10 +176,7 @@ def _default_out_dir() -> Path:
 
 def _cmd_simulate(args, invocation) -> int:
     extras = _parse_with(args.with_methods, args.phase_jump)
-    spec = SweepSpec(grid=(args.b,), family=args.model, a=args.a, b=args.b, c=args.c,
-                     n=args.n, phase_jump=args.phase_jump, methods=("numeric", *extras),
-                     config=_sim_config(args))
-    _check_ica_applicable(spec)
+    spec = _spec_from_args(args, (args.b,), ("numeric", *extras), "b")
     kw = spec.params_at(args.b)
     model = _point_model(spec, args.b)
     for method in spec.methods:
@@ -196,8 +188,8 @@ def _cmd_simulate(args, invocation) -> int:
 
 
 def _cmd_sweep(args, invocation) -> int:
-    spec = _spec_from_args(args, _grid(args.min, args.max, args.step))
-    _check_ica_applicable(spec)
+    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    spec = _spec_from_args(args, _grid(args.min, args.max, args.step), methods, args.param)
     table = run_sweep(spec).with_metadata(("invocation", invocation))
     out = Path(args.out) if args.out else _default_out_dir() / "sweep.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -225,11 +217,8 @@ def _cmd_figure(args, invocation) -> int:
 
 
 def _cmd_converge(args, invocation) -> int:
-    cfg = _sim_config(args)
-    spec = SweepSpec(grid=(args.b,), family=args.model, a=args.a, b=args.b, c=args.c,
-                     n=args.n, phase_jump=args.phase_jump, config=cfg)
-    model = build_model(spec, args.b)
-    report = convergence_report(model, cfg)
+    spec = _spec_from_args(args, (args.b,), ("numeric",), "b")
+    report = convergence_report(build_model(spec, args.b), spec.config)
     print(report.to_text())
     return 0 if report.converged else 2
 

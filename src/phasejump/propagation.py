@@ -113,7 +113,7 @@ class StateVector:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration window and adaptive-step controls.
+    """Integration window, local error tolerance and window scale factor.
 
     ``window_half_width`` of None means: choose the smallest half-width T with
     |alpha(+-T)| >= kappa * max(V(+-T), 1) and read the transition in the
@@ -131,8 +131,6 @@ class SimConfig:
 
     window_half_width: Optional[float] = None
     local_error_tol: float = 1e-10
-    max_step: float = 0.5
-    min_step: float = 1e-12
     window_scale_factor: Optional[float] = None
 
     def __post_init__(self):
@@ -140,10 +138,6 @@ class SimConfig:
             raise InvalidArgumentError(f"window half-width must be positive, got {self.window_half_width}")
         if not self.local_error_tol > 0.0:
             raise InvalidArgumentError(f"local error tolerance must be positive, got {self.local_error_tol}")
-        if not 0.0 < self.min_step <= self.max_step:
-            raise InvalidArgumentError(
-                f"need 0 < min_step <= max_step, got ({self.min_step}, {self.max_step})"
-            )
         if self.window_scale_factor is not None and not self.window_scale_factor > 1.0:
             raise InvalidArgumentError(
                 f"window scale factor must exceed 1, got {self.window_scale_factor}"
@@ -288,6 +282,10 @@ def _make_trial_cf4(model, segment_phi):
 # period the full and halved steps can alias into accidental agreement.
 _PHASE_CAP = 0.5 * math.pi
 
+# Step-size bounds of the adaptive controller.
+_MAX_STEP = 0.5
+_MIN_STEP = 1e-12
+
 
 def _integrate_segment(model, t0, t1, cfg, u0):
     """Adaptively integrate over (t0, t1) free of discontinuities; u0 composes on the right."""
@@ -301,47 +299,50 @@ def _integrate_segment(model, t0, t1, cfg, u0):
     denom = float(2 ** _CF4_ORDER - 1)
     grow = 1.0 / (_CF4_ORDER + 1.0)
     tol = cfg.local_error_tol
-    max_step = cfg.max_step
-    min_step = cfg.min_step
+    max_step, min_step = _MAX_STEP, _MIN_STEP
     u = u0
     t = t0
     h = direction * min(max_step, abs(span))
-    while (t1 - t) * direction > 0.0:
-        if (abs(h) >= abs(t1 - t)) or (abs(t1 - t) < min_step):
-            h = t1 - t
-        fine, err, om = trial(t, h)
-        if om * abs(h) > _PHASE_CAP and abs(h) > min_step:
-            h = direction * max(min_step, 0.9 * _PHASE_CAP / om)
-            continue
-        err /= denom
-        if err <= tol:
-            u = _mul(fine, u)
-            t = t + h
-            if err > 0.0:
-                factor = 0.9 * (tol / err) ** grow
-                h_abs = abs(h) * min(5.0, max(0.2, factor))
+    try:
+        while (t1 - t) * direction > 0.0:
+            if (abs(h) >= abs(t1 - t)) or (abs(t1 - t) < min_step):
+                h = t1 - t
+            fine, err, om = trial(t, h)
+            if om * abs(h) > _PHASE_CAP and abs(h) > min_step:
+                h = direction * max(min_step, 0.9 * _PHASE_CAP / om)
+                continue
+            err /= denom
+            if err <= tol:
+                u = _mul(fine, u)
+                t = t + h
+                if err > 0.0:
+                    factor = 0.9 * (tol / err) ** grow
+                    h_abs = abs(h) * min(5.0, max(0.2, factor))
+                else:
+                    h_abs = abs(h) * 5.0
+                if om > 0.0:
+                    # margin keeps the next step under the cap as the field grows
+                    h_abs = min(h_abs, 0.95 * _PHASE_CAP / om)
+                h = direction * min(max_step, h_abs)
             else:
-                h_abs = abs(h) * 5.0
-            if om > 0.0:
-                # margin keeps the next step under the cap as the field grows
-                h_abs = min(h_abs, 0.95 * _PHASE_CAP / om)
-            h = direction * min(max_step, h_abs)
-        else:
-            if not (math.isfinite(err) and math.isfinite(om)):
-                # shrinking cannot cure a field that is NaN or infinite here
-                raise ConvergenceError(
-                    f"non-finite field or error estimate at t={t} "
-                    f"(field magnitude {om!r}, local error estimate {err!r})",
-                    achieved_error=err,
-                )
-            shrink = 0.9 * (tol / err) ** grow
-            h = h * min(0.9, max(0.1, shrink))
-            if abs(h) < min_step:
-                raise ConvergenceError(
-                    f"step underflow below min_step={min_step} at t={t} "
-                    f"(local error estimate {err:.3e})",
-                    achieved_error=err,
-                )
+                if not (math.isfinite(err) and math.isfinite(om)):
+                    # shrinking cannot cure a field that is NaN or infinite here
+                    raise ConvergenceError(
+                        f"non-finite field or error estimate at t={t} "
+                        f"(field magnitude {om!r}, local error estimate {err!r})",
+                        achieved_error=err,
+                    )
+                shrink = 0.9 * (tol / err) ** grow
+                h = h * min(0.9, max(0.1, shrink))
+                if abs(h) < min_step:
+                    raise ConvergenceError(
+                        f"step underflow below min_step={min_step} at t={t} "
+                        f"(local error estimate {err:.3e})",
+                        achieved_error=err,
+                    )
+    except (OverflowError, ValueError) as exc:
+        # a steep drive can leave the float range inside a trial: cos(inf) or t ** k
+        raise ConvergenceError(f"field evaluation failed at t={t}: {exc}") from exc
     return u
 
 
@@ -415,6 +416,17 @@ def evolve_state(u: Unitary2, psi: StateVector) -> StateVector:
 # asymptotic window
 # ---------------------------------------------------------------------------
 
+# kappa when SimConfig.window_scale_factor is None.  The automatic window is
+# read in the superadiabatic basis, which for the parabolic family is within
+# about 3e-6 of its asymptotic value at kappa = 30; an explicit window is read
+# in the diabatic basis and checked at kappa = 100.
+_AUTO_KAPPA = 30.0
+_CHECK_KAPPA = 100.0
+# auto_window's search horizon and the probes per octave of its scan
+_WINDOW_LIMIT = 1e6
+_OCTAVE_PROBES = 96
+
+
 def _abs_alpha(model: DriveModel, t: float) -> float:
     """|alpha(t)|, infinite where a steep drive leaves the float range."""
     try:
@@ -433,18 +445,17 @@ def _edge_ok(model: DriveModel, t: float, kappa: float) -> bool:
     return True
 
 
-def _scan_octave(model: DriveModel, lo: float, hi: float, kappa: float,
-                 samples: int = 96):
+def _scan_octave(model: DriveModel, lo: float, hi: float, kappa: float):
     """Violating probe times in [lo, hi] and whether |alpha| is settled there.
 
     Settled means non-decreasing along the probes; a decreasing |alpha| signals
     the approach to a well or crossing further out, so the scan must continue.
     """
-    dt = (hi - lo) / samples
+    dt = (hi - lo) / _OCTAVE_PROBES
     bad = []
     settled = True
     prev = _abs_alpha(model, lo)
-    for k in range(samples + 1):
+    for k in range(_OCTAVE_PROBES + 1):
         t = lo + k * dt
         if not _edge_ok(model, t, kappa):
             bad.append(t)
@@ -455,18 +466,18 @@ def _scan_octave(model: DriveModel, lo: float, hi: float, kappa: float,
     return bad, settled
 
 
-def auto_window(model: DriveModel, kappa: float = 100.0, t_max: float = 1e6) -> float:
+def auto_window(model: DriveModel, kappa: float = _CHECK_KAPPA) -> float:
     """Smallest half-width T (>= 1) with |alpha(+-T)| >= kappa*max(V(+-T), 1).
 
     Scans outward octave by octave, tracking the last time the condition is
     violated, and stops only once the tail is clean, |alpha| has stopped
     decreasing, and the horizon is well past every recorded violation; a deep
     well (|alpha(0)| large) therefore cannot masquerade as an asymptotic edge.
-    Raises WindowTooSmallError if no window exists below ``t_max``.
+    Raises WindowTooSmallError if no window exists below ``_WINDOW_LIMIT``.
     """
     last_bad = 0.0
     h = 1.0
-    while h <= t_max:
+    while h <= _WINDOW_LIMIT:
         bad, settled = _scan_octave(model, h, 2.0 * h, kappa)
         if bad:
             last_bad = max(bad)
@@ -475,7 +486,7 @@ def auto_window(model: DriveModel, kappa: float = 100.0, t_max: float = 1e6) -> 
         h *= 2.0
     else:
         raise WindowTooSmallError(
-            f"no asymptotic window below T={t_max} for model {model.label!r}"
+            f"no asymptotic window below T={_WINDOW_LIMIT} for model {model.label!r}"
         )
     if last_bad == 0.0 and _edge_ok(model, 1.0, kappa):
         return 1.0
@@ -490,14 +501,6 @@ def auto_window(model: DriveModel, kappa: float = 100.0, t_max: float = 1e6) -> 
         else:
             lo = mid
     return hi
-
-
-# kappa when SimConfig.window_scale_factor is None.  The automatic window is
-# read in the superadiabatic basis, which for the parabolic family is within
-# about 3e-6 of its asymptotic value at kappa = 30; an explicit window is read
-# in the diabatic basis and checked at kappa = 100.
-_AUTO_KAPPA = 30.0
-_CHECK_KAPPA = 100.0
 
 
 def _resolve_window(model: DriveModel, cfg: SimConfig = SimConfig()) -> float:

@@ -257,14 +257,28 @@ def _evaluate_point(spec: SweepSpec, value: float):
     return (value, *out, float(len(notes))), notes
 
 
+def _first_label(spec: SweepSpec) -> Optional[str]:
+    """Label of the model at the first grid point where one builds, None if none does."""
+    for value in spec.grid:
+        try:
+            return build_model(spec, value).label
+        except PhasejumpError:
+            pass
+    return None
+
+
 def _gather(spec: SweepSpec, evaluate):
-    """Rows of ``evaluate(spec, value)`` in grid order, and the sweep's metadata."""
+    """Rows of ``evaluate(spec, value)`` in grid order, and the sweep's metadata.
+
+    Every row is kept; a point whose model cannot be built has its methods
+    recorded as failures by ``evaluate``.
+    """
     results = [evaluate(spec, v) for v in spec.grid]
     rows = tuple(r for r, _ in results)
     notes = [n for _, ns in results for n in ns]
-    sample_model = build_model(spec, spec.grid[0])
-    metadata = [
-        ("label", sample_model.label),
+    label = _first_label(spec)
+    metadata = [] if label is None else [("label", label)]
+    metadata += [
         ("family", spec.family),
         ("swept", spec.param),
         ("phase_jump", str(spec.phase_jump).lower()),
@@ -367,44 +381,35 @@ class ConvergenceReport:
     tolerance_rows: tuple[tuple[float, float], ...]  # (tolerance, probability)
     window_converged: bool
     tolerance_converged: bool
-    threshold: float = CONVERGENCE_DELTA
 
     @property
     def converged(self) -> bool:
         return self.window_converged and self.tolerance_converged
 
     def to_text(self) -> str:
-        lines = [f"{'T':>14}  {'P':>18}  {'|delta|':>10}"]
-        prev = None
-        for t, p in self.window_rows:
-            d = "" if prev is None else f"{abs(p - prev):10.3e}"
-            lines.append(f"{t:14.6f}  {p:18.12f}  {d}")
-            prev = p
-        lines.append(f"{'tol':>14}  {'P':>18}  {'|delta|':>10}")
-        prev = None
-        for tol, p in self.tolerance_rows:
-            d = "" if prev is None else f"{abs(p - prev):10.3e}"
-            lines.append(f"{tol:14.3e}  {p:18.12f}  {d}")
-            prev = p
+        lines = []
+        for name, fmt, rows in (("T", "14.6f", self.window_rows),
+                                ("tol", "14.3e", self.tolerance_rows)):
+            lines.append(f"{name:>14}  {'P':>18}  {'|delta|':>10}")
+            prev = None
+            for x, p in rows:
+                d = "" if prev is None else f"{abs(p - prev):10.3e}"
+                lines.append(f"{x:{fmt}}  {p:18.12f}  {d}")
+                prev = p
         status = "converged" if self.converged else "NOT converged"
-        lines.append(f"{status} (threshold {self.threshold:g})")
+        lines.append(f"{status} (threshold {CONVERGENCE_DELTA:g})")
         return "\n".join(lines)
 
 
-def convergence_report(
-    model: DriveModel,
-    cfg: SimConfig = SimConfig(),
-    threshold: float = CONVERGENCE_DELTA,
-    max_doublings: int = 3,
-) -> ConvergenceReport:
+def convergence_report(model: DriveModel, cfg: SimConfig = SimConfig()) -> ConvergenceReport:
     """Tabulate P against doubled windows and halved tolerance.
 
     Windows double from the configured half-width, or from the automatic
-    window of ``transition_probability``, until two successive probabilities
-    differ by less than ``threshold``; the tolerance check then halves the
-    local error tolerance at the final window.  Every window is read in the
-    first superadiabatic basis at its edges, the reading that settles as the
-    window grows.
+    window of ``transition_probability``, at most three times, until two
+    successive probabilities differ by less than ``CONVERGENCE_DELTA``; the
+    tolerance check then halves the local error tolerance at the final
+    window.  Every window is read in the first superadiabatic basis at its
+    edges, the reading that settles as the window grows.
     """
     def probability(t_half, c):
         u = propagate(model, -t_half, t_half, c)
@@ -414,10 +419,10 @@ def convergence_report(
     window_rows = [(t0, probability(t0, cfg))]
     window_converged = False
     t = t0
-    for _ in range(max_doublings):
+    for _ in range(3):
         t *= 2.0
         window_rows.append((t, probability(t, cfg)))
-        if abs(window_rows[-1][1] - window_rows[-2][1]) < threshold:
+        if abs(window_rows[-1][1] - window_rows[-2][1]) < CONVERGENCE_DELTA:
             window_converged = True
             break
     final_t = window_rows[-1][0]
@@ -426,13 +431,12 @@ def convergence_report(
         (cfg.local_error_tol, window_rows[-1][1]),
         (half_tol.local_error_tol, probability(final_t, half_tol)),
     )
-    tolerance_converged = abs(tolerance_rows[1][1] - tolerance_rows[0][1]) < threshold
+    tolerance_converged = abs(tolerance_rows[1][1] - tolerance_rows[0][1]) < CONVERGENCE_DELTA
     return ConvergenceReport(
         window_rows=tuple(window_rows),
         tolerance_rows=tolerance_rows,
         window_converged=window_converged,
         tolerance_converged=tolerance_converged,
-        threshold=threshold,
     )
 
 

@@ -280,6 +280,16 @@ class TestUniversalProbability:
         with pytest.raises(DegenerateFieldError):
             universal_probability(0.0, 0.0)
 
+    def test_squares_underflow(self):
+        assert universal_probability(1e-200, -1e-200) == pytest.approx(0.5)
+        assert universal_probability(1e-200, 0.0) == 1.0
+        # a subnormal sum of squares keeps too few digits for the plain ratio
+        assert universal_probability(3e-162, 1e-162) == pytest.approx(0.9)
+
+    def test_squares_overflow(self):
+        assert universal_probability(5e199, 1.0) == 1.0
+        assert universal_probability(1e200, -3e200) == pytest.approx(0.1)
+
 
 class TestConventionIdentities:
     @settings(max_examples=40)

@@ -109,6 +109,24 @@ class TestSimulate:
         assert "Traceback" not in err
         assert 0.0 <= float(out.split(":")[1]) <= 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ("converge", "--model", "superparabolic", "--n", "600", "--b", "1"),
+        ("simulate", "--model", "superparabolic", "--n", "600", "--b", "1", "--T", "2"),
+    ])
+    def test_steep_superparabolic_integration_exits_two(self, capsys, argv):
+        # the field overflows inside a trial step, where cos(inf) is a domain error
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: field evaluation failed")
+        assert "Traceback" not in err
+
+    def test_universal_with_underflowing_squares(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--b", "1e-200", "--c=-1e-200",
+                                 "--phase-jump", "--with", "universal")
+        assert code == 0
+        assert "Traceback" not in err
+        assert out.splitlines()[1] == "universal: 0.5"
+
 
 class TestUsage:
     def test_help_exits_zero(self, capsys):
@@ -136,6 +154,15 @@ class TestUsage:
 
     def test_missing_subcommand_exits_one(self, capsys):
         assert run_cli(capsys)[0] == 1
+
+    @pytest.mark.parametrize("methods", ["foo", "numeric,foo", ","])
+    def test_bad_methods_exit_one(self, capsys, tmp_path, methods):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", "--c", "1", "--min", "0", "--max", "1",
+                               "--step", "0.5", "--methods", methods, "--out", str(out))
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert not out.exists()
 
     def test_bad_sweep_grid_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--min", "1", "--max", "0",
@@ -202,6 +229,18 @@ class TestSweepCommand:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         assert rows[0].split(",")[2] == "NaN"
         assert rows[2].split(",")[2] != "NaN"
+
+    def test_unbuildable_points_keep_the_sweep(self, capsys, tmp_path):
+        out = tmp_path / "u.csv"
+        code, _, err = run_cli(capsys, "sweep", "--c", "1", "--min", "-1", "--max", "1",
+                               "--step", "0.5", "--methods", "universal", "--out", str(out))
+        assert code == 0
+        assert "Traceback" not in err
+        lines = out.read_text().splitlines()
+        assert "# label: parabolic(a=1, b=0, c=1)" in lines
+        assert sum(l.startswith("# diagnostic: b=-") for l in lines) == 2
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert [r[1] == "NaN" for r in rows] == [True, True, False, False, False]
 
 
 class TestFigureCommand:

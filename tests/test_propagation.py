@@ -8,6 +8,7 @@ import pytest
 
 from oracles import fine_step_propagator
 
+from phasejump import propagation
 from phasejump.errors import (
     BasisMismatchError,
     ConvergenceError,
@@ -180,10 +181,10 @@ class TestPropagate:
         bwd = propagate(m, 4.0, -2.0, cfg)
         assert np.max(np.abs((fwd @ bwd).matrix - np.eye(2))) < 1e-9
 
-    def test_step_underflow_raises_convergence_error(self):
+    def test_step_underflow_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(propagation, "_MIN_STEP", 0.05)
         m = parabolic(ParabolicParams(b=1.0, c=0.0))
-        cfg = SimConfig(window_half_width=10.0, local_error_tol=1e-16,
-                        min_step=0.05, max_step=0.5)
+        cfg = SimConfig(window_half_width=10.0, local_error_tol=1e-16)
         with pytest.raises(ConvergenceError) as err:
             propagate(m, -5.0, 5.0, cfg)
         assert err.value.achieved_error is not None
@@ -203,6 +204,13 @@ class TestPropagate:
             propagate(m, 0.0, 1.0)
         # one trial samples alpha at six nodes; shrinking the step cannot cure NaN
         assert len(nan_evals) <= 6
+
+    def test_field_leaving_float_range_raises_convergence_error(self):
+        # an infinite field makes the step phase infinite, and cos(inf) a ValueError
+        m = DriveModel(alpha_fn=lambda t: math.inf if t > 0.5 else t,
+                       v_fn=lambda t: 1.0, phi_fn=lambda t: 0.0)
+        with pytest.raises(ConvergenceError, match="field evaluation failed"):
+            propagate(m, 0.0, 1.0)
 
 
 CATALOG_REFERENCES = {
@@ -422,8 +430,8 @@ class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(window_half_width=-1.0),
         dict(local_error_tol=0.0),
-        dict(min_step=0.0),
-        dict(min_step=1.0, max_step=0.5),
+        dict(window_half_width=0.0),
+        dict(local_error_tol=float("nan")),
         dict(window_scale_factor=1.0),
     ])
     def test_invalid(self, kwargs):

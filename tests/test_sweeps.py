@@ -135,6 +135,23 @@ class TestRunSweep:
         assert table.column("failures") == (0.0, 0.0, 0.0)
         assert not any(math.isnan(p) for p in table.column("ica-reference"))
 
+    def test_unbuildable_points_are_failures(self):
+        spec = SweepSpec(grid=(-1.0, -0.5, 0.0, 1.0), c=1.0, methods=("universal",))
+        table = run_sweep(spec)
+        assert math.isnan(table.rows[0][1]) and math.isnan(table.rows[1][1])
+        assert table.column("universal")[2:] == (0.0, 0.5)
+        assert table.column("failures") == (1.0, 1.0, 0.0, 0.0)
+        assert table.meta("label") == "parabolic(a=1, b=0, c=1)"
+
+    def test_no_buildable_point_omits_label(self):
+        table = run_sweep(SweepSpec(grid=(-2.0, -1.0), c=1.0, methods=("universal",)))
+        assert table.column("failures") == (1.0, 1.0)
+        assert table.meta("label") is None
+
+    def test_universal_at_overflowing_coupling(self):
+        table = run_sweep(SweepSpec(grid=(5e199,), c=1.0, methods=("universal",)))
+        assert table.rows[0][1:] == (1.0, 0.0)
+
     def test_deterministic_output(self):
         spec = SweepSpec(grid=(0.0, 1.0), c=3.0, methods=("numeric",), config=FAST)
         a = strip_timestamp(render(run_sweep(spec)))
