@@ -6,10 +6,8 @@ and CLI layers that compare them.
 """
 
 from .errors import (
-    BasisMismatchError,
     ConvergenceError,
     DegenerateFieldError,
-    DomainError,
     InternalConsistencyError,
     InvalidArgumentError,
     NoCrossingError,
@@ -29,13 +27,9 @@ from .models import (
     superparabolic,
 )
 from .propagation import (
-    ADIABATIC,
-    DIABATIC,
     SimConfig,
-    StateVector,
     Unitary2,
     auto_window,
-    evolve_state,
     propagate,
     su2_exp,
     transition_probability,
@@ -45,7 +39,6 @@ from .adiabatic import (
     adiabatic_sample,
     mixing_angle,
     rotation,
-    to_adiabatic,
 )
 from .analytic import (
     IcaResult,
@@ -53,7 +46,6 @@ from .analytic import (
     dynamical_phase,
     ica_propagator_phase_jump,
     ica_propagator_reference,
-    log_gamma_complex,
     lz_parameter,
     lz_scattering,
     stokes_phase,

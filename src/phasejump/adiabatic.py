@@ -16,16 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BasisMismatchError, DegenerateFieldError, InvalidArgumentError
+from .errors import DegenerateFieldError, InvalidArgumentError
 from .models import DriveModel, FieldSample, sample
-from .propagation import ADIABATIC, DIABATIC, Unitary2, _rotation
+from .propagation import Unitary2, _rotation
 
 __all__ = [
     "AdiabaticSample",
     "mixing_angle",
     "rotation",
     "adiabatic_sample",
-    "to_adiabatic",
 ]
 
 
@@ -48,7 +47,7 @@ def mixing_angle(s: FieldSample) -> float:
 
 def rotation(s: FieldSample) -> Unitary2:
     """Basis-change matrix with the instantaneous eigenstates as its columns."""
-    return Unitary2(_rotation(mixing_angle(s), s.phi), DIABATIC)
+    return Unitary2(_rotation(mixing_angle(s), s.phi))
 
 
 # Relative step for the finite-difference fallback in adiabatic_sample.
@@ -87,16 +86,3 @@ def adiabatic_sample(model: DriveModel, t: float) -> AdiabaticSample:
         theta=mixing_angle(s),
     )
 
-
-def to_adiabatic(u: Unitary2, model: DriveModel, t: float, t0: float) -> Unitary2:
-    """Re-express a diabatic propagator U_D(t, t0) in the adiabatic basis.
-
-    Applies U_A = R^dag(t) U_D R(t0) with right-limit field samples at the
-    endpoints (the model convention at discontinuities).
-    """
-    if u.basis != DIABATIC:
-        raise BasisMismatchError(f"to_adiabatic expects a diabatic propagator, got {u.basis}")
-    r_t = rotation(sample(model, t))
-    r_t0 = rotation(sample(model, t0))
-    out = r_t.dagger() @ u @ r_t0
-    return Unitary2(out.entries, ADIABATIC)

@@ -18,22 +18,20 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 from scipy.special import loggamma
 
-from .adiabatic import rotation
+from .adiabatic import mixing_angle
 from .errors import (
     DegenerateFieldError,
-    DomainError,
     InternalConsistencyError,
     InvalidArgumentError,
     NoCrossingError,
     QuadratureError,
 )
 from .models import FieldSample, ParabolicParams
-from .propagation import ADIABATIC, DIABATIC, Unitary2
+from .propagation import Unitary2, _mul, _rotation
 
 __all__ = [
     "LzParams",
     "IcaResult",
-    "log_gamma_complex",
     "stokes_phase",
     "lz_parameter",
     "lz_scattering",
@@ -42,17 +40,6 @@ __all__ = [
     "ica_propagator_phase_jump",
     "universal_probability",
 ]
-
-
-def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch log Gamma (scipy's ``loggamma``).
-
-    Poles (non-positive integers) raise DomainError.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer():
-        raise DomainError(f"log-gamma pole at z={z}")
-    return complex(loggamma(z))
 
 
 def stokes_phase(lam: float) -> float:
@@ -68,7 +55,7 @@ def stokes_phase(lam: float) -> float:
     # log(lam) - 1 - log 2 rather than log(lam / 2e): the quotient underflows
     # to 0 for subnormal lam
     middle = 0.5 * lam * (math.log(lam) - 1.0 - math.log(2.0))
-    return 0.25 * math.pi + middle + log_gamma_complex(1.0 - 0.5j * lam).imag
+    return 0.25 * math.pi + middle + float(loggamma(1.0 - 0.5j * lam).imag)
 
 
 @dataclass(frozen=True)
@@ -105,11 +92,15 @@ def lz_parameter(p: ParabolicParams) -> float:
     return p.b * p.b / (2.0 * math.sqrt(p.a * p.c))
 
 
+def _crossing(lz: LzParams):
+    """Entries of the single-crossing scattering matrix in the adiabatic basis."""
+    tq = math.sqrt(max(0.0, 1.0 - lz.r * lz.r)) * cmath.exp(1j * lz.stokes)
+    return (tq, -lz.r, lz.r, tq.conjugate())
+
+
 def lz_scattering(lam: float) -> Unitary2:
     """Single-crossing scattering matrix in the adiabatic basis."""
-    lz = LzParams.from_lambda(lam)
-    tq = math.sqrt(max(0.0, 1.0 - lz.r * lz.r)) * cmath.exp(1j * lz.stokes)
-    return Unitary2((tq, -lz.r, lz.r, tq.conjugate()), ADIABATIC)
+    return Unitary2(_crossing(LzParams.from_lambda(lam)))
 
 
 def dynamical_phase(p: ParabolicParams) -> float:
@@ -152,13 +143,14 @@ class IcaResult:
             raise InvalidArgumentError(f"probability out of range: {self.p}")
 
 
-def _sz_conj(u: Unitary2) -> Unitary2:
-    a, b, c, d = u.entries
-    return Unitary2((a, -b, -c, d), u.basis)
+def _sz_conj(u):
+    """Entries of sz U sz: the off-diagonal pair negated."""
+    a, b, c, d = u
+    return (a, -b, -c, d)
 
 
-def _phase_evolution(phi: float, basis: str) -> Unitary2:
-    return Unitary2((cmath.exp(1j * phi), 0.0j, 0.0j, cmath.exp(-1j * phi)), basis)
+def _phase_evolution(phi: float) -> Unitary2:
+    return Unitary2((cmath.exp(1j * phi), 0.0j, 0.0j, cmath.exp(-1j * phi)))
 
 
 def ica_propagator_reference(p: ParabolicParams) -> IcaResult:
@@ -168,14 +160,14 @@ def ica_propagator_reference(p: ParabolicParams) -> IcaResult:
     non-adiabatic coupling is odd in time.  The off-diagonal magnitude squared
     reproduces 4 R^2 (1 - R^2) sin^2(phi_dyn + phi_S).
     """
-    lam = lz_parameter(p)
-    lz = LzParams.from_lambda(lam)
+    lz = LzParams.from_lambda(lz_parameter(p))
     phi_dyn = dynamical_phase(p)
-    s1 = lz_scattering(lam)
+    s1 = _crossing(lz)
     s2 = _sz_conj(s1)
-    total = s2 @ _phase_evolution(phi_dyn, ADIABATIC) @ s1
-    prob = min(max(abs(total.entries[1]) ** 2, 0.0), 1.0)
-    return IcaResult(p=prob, s_total=total, phi_dyn=phi_dyn, lz=lz, crossings=(s1, s2))
+    total = _mul(_mul(s2, _phase_evolution(phi_dyn).entries), s1)
+    prob = min(max(abs(total[1]) ** 2, 0.0), 1.0)
+    return IcaResult(p=prob, s_total=Unitary2(total), phi_dyn=phi_dyn, lz=lz,
+                     crossings=(Unitary2(s1), Unitary2(s2)))
 
 
 def ica_propagator_phase_jump(p: ParabolicParams) -> IcaResult:
@@ -188,30 +180,24 @@ def ica_propagator_phase_jump(p: ParabolicParams) -> IcaResult:
     off-diagonal element is real up to roundoff; that is asserted, not
     projected, so convention errors surface as failures.
     """
-    lam = lz_parameter(p)
-    lz = LzParams.from_lambda(lam)
+    lz = LzParams.from_lambda(lz_parameter(p))
     phi_dyn = dynamical_phase(p)
-    s_a = lz_scattering(lam)
-    jump_field = FieldSample(alpha=-p.c, v=p.b, phi=0.0)
-    r0 = rotation(jump_field)
-    half = _phase_evolution(0.5 * phi_dyn, ADIABATIC)
-    # S_A . sz U_+ R(0) sz R(0)^dag U_- . S_A, with every factor retagged to
-    # the diabatic basis of the composed total.
-    core = (
-        _sz_conj(half @ Unitary2(r0.entries, ADIABATIC))
-        @ Unitary2(r0.dagger().entries, ADIABATIC)
-        @ half
-    )
-    total = s_a @ core @ s_a
-    off = total.entries[1]
+    s_a = _crossing(lz)
+    r0 = _rotation(mixing_angle(FieldSample(alpha=-p.c, v=p.b, phi=0.0)), 0.0)
+    r11, r12, r21, r22 = r0
+    r0_dag = (r11.conjugate(), r21.conjugate(), r12.conjugate(), r22.conjugate())
+    half = _phase_evolution(0.5 * phi_dyn).entries
+    # S_A . sz U_+ R(0) sz R(0)^dag U_- . S_A
+    core = _mul(_mul(_sz_conj(_mul(half, r0)), r0_dag), half)
+    total = _mul(_mul(s_a, core), s_a)
+    off = total[1]
     if abs(off.imag) > 1e-10:
         raise InternalConsistencyError(
             f"phase-jump off-diagonal element is not real: {off}"
         )
     prob = min(max(off.real ** 2, 0.0), 1.0)
-    total_d = Unitary2(total.entries, DIABATIC)
-    return IcaResult(p=prob, s_total=total_d, phi_dyn=phi_dyn, lz=lz,
-                     crossings=(s_a, _sz_conj(s_a)))
+    return IcaResult(p=prob, s_total=Unitary2(total), phi_dyn=phi_dyn, lz=lz,
+                     crossings=(Unitary2(s_a), Unitary2(_sz_conj(s_a))))
 
 
 def universal_probability(v0: float, alpha0: float) -> float:
@@ -221,9 +207,11 @@ def universal_probability(v0: float, alpha0: float) -> float:
     """
     if v0 == 0.0 and alpha0 == 0.0:
         raise DegenerateFieldError("universal probability undefined for a vanishing field")
-    total = v0 * v0 + alpha0 * alpha0
-    if not sys.float_info.min <= total < math.inf:
-        # the squares underflow to zero or subnormals, or overflow; the scaled
-        # ratio does neither
+    v2 = v0 * v0
+    a2 = alpha0 * alpha0
+    total = v2 + a2
+    if min(v2, a2) < sys.float_info.min or total == math.inf:
+        # a square underflows to zero or to a subnormal with too few digits, or
+        # the sum overflows; the scaled ratio does neither
         return (abs(v0) / math.hypot(v0, alpha0)) ** 2
-    return v0 * v0 / total
+    return v2 / total

@@ -1,8 +1,11 @@
 """Command-line front end: single-shot simulation, sweeps, figures, convergence.
 
-Exit codes: 0 on success, 1 on usage errors (including unsatisfiable model
-constraints detected before any computation), 2 on numeric failures during
-computation.  The full invocation is echoed into CSV metadata so every output
+Exit codes: 0 on success, 1 on usage errors, 2 on failures during
+computation.  Usage errors are those found before any computation: unknown
+flags, a malformed grid or method list, crossing formulas where they do not
+apply, and a --T, --tol or --kappa value that ``SimConfig`` rejects.  A model
+parameter that the drive model rejects (such as ``--a nan``) is found while
+building the model and exits 2.  The full invocation is echoed into CSV metadata so every output
 file records how it was produced.
 """
 
@@ -115,11 +118,15 @@ def _build_parser():
 
 
 def _sim_config(args) -> SimConfig:
-    return SimConfig(
-        window_half_width=args.T,
-        local_error_tol=args.tol,
-        window_scale_factor=args.kappa,
-    )
+    """The --T, --tol and --kappa flags; a value SimConfig rejects is a usage error."""
+    try:
+        return SimConfig(
+            window_half_width=args.T,
+            local_error_tol=args.tol,
+            window_scale_factor=args.kappa,
+        )
+    except InvalidArgumentError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _parse_with(raw: str, phase_jump: bool) -> tuple[str, ...]:
@@ -157,7 +164,7 @@ def _spec_from_args(args, grid, methods, param) -> SweepSpec:
     they do not apply, is a usage error.  The crossing check is skipped when
     c is swept: the grid may cross zero.
     """
-    config = _sim_config(args)  # a rejected SimConfig stays exit 2, as in `figure`
+    config = _sim_config(args)
     try:
         spec = SweepSpec(grid=grid, family=args.model, a=args.a, b=args.b, c=args.c, n=args.n,
                          phase_jump=args.phase_jump, param=param, methods=methods, config=config)

@@ -1,5 +1,16 @@
 """Exception hierarchy shared by all phasejump modules."""
 
+__all__ = [
+    "PhasejumpError",
+    "InvalidArgumentError",
+    "DegenerateFieldError",
+    "NoCrossingError",
+    "WindowTooSmallError",
+    "ConvergenceError",
+    "QuadratureError",
+    "InternalConsistencyError",
+]
+
 
 class PhasejumpError(Exception):
     """Base class for all errors raised by this package."""
@@ -11,14 +22,6 @@ class InvalidArgumentError(PhasejumpError, ValueError):
 
 class DegenerateFieldError(InvalidArgumentError):
     """Both field components vanish; the mixing angle is undefined."""
-
-
-class BasisMismatchError(InvalidArgumentError):
-    """An operand is expressed in a different basis than required."""
-
-
-class DomainError(InvalidArgumentError):
-    """Input lies on a pole or outside the mathematical domain."""
 
 
 class NoCrossingError(InvalidArgumentError):

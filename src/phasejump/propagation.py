@@ -16,44 +16,30 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
-from .errors import (
-    BasisMismatchError,
-    ConvergenceError,
-    InvalidArgumentError,
-    WindowTooSmallError,
-)
+from .errors import ConvergenceError, InvalidArgumentError, WindowTooSmallError
 from .models import DriveModel, FieldSample, _check_parity, sample
 
 __all__ = [
-    "DIABATIC",
-    "ADIABATIC",
     "Unitary2",
-    "StateVector",
     "SimConfig",
     "su2_exp",
     "propagate",
     "transition_probability",
-    "evolve_state",
     "auto_window",
 ]
-
-DIABATIC = "diabatic"
-ADIABATIC = "adiabatic"
 
 _IDENTITY = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
 @dataclass(frozen=True)
 class Unitary2:
-    """2x2 unitary propagator with a basis tag, stored as four entries."""
+    """2x2 unitary propagator, stored as four entries."""
 
     entries: tuple[complex, complex, complex, complex]
-    basis: str = DIABATIC
 
     def __post_init__(self):
-        if self.basis not in (DIABATIC, ADIABATIC):
-            raise InvalidArgumentError(f"unknown basis tag {self.basis!r}")
         if len(self.entries) != 4:
             raise InvalidArgumentError("Unitary2 needs exactly four entries")
         if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in map(complex, self.entries)):
@@ -61,15 +47,15 @@ class Unitary2:
         object.__setattr__(self, "entries", tuple(complex(z) for z in self.entries))
 
     @classmethod
-    def identity(cls, basis: str = DIABATIC) -> "Unitary2":
-        return cls(_IDENTITY, basis)
+    def identity(cls) -> "Unitary2":
+        return cls(_IDENTITY)
 
     @classmethod
-    def from_matrix(cls, m, basis: str = DIABATIC) -> "Unitary2":
+    def from_matrix(cls, m) -> "Unitary2":
         m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
             raise InvalidArgumentError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls((m[0, 0], m[0, 1], m[1, 0], m[1, 1]), basis)
+        return cls((m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -78,16 +64,12 @@ class Unitary2:
 
     def dagger(self) -> "Unitary2":
         a, b, c, d = self.entries
-        return Unitary2((a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()), self.basis)
+        return Unitary2((a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()))
 
     def __matmul__(self, other: "Unitary2") -> "Unitary2":
         if not isinstance(other, Unitary2):
             return NotImplemented
-        if self.basis != other.basis:
-            raise BasisMismatchError(
-                f"cannot compose {self.basis} propagator with {other.basis} propagator"
-            )
-        return Unitary2(_mul(self.entries, other.entries), self.basis)
+        return Unitary2(_mul(self.entries, other.entries))
 
     def det(self) -> complex:
         a, b, c, d = self.entries
@@ -97,18 +79,6 @@ class Unitary2:
         """Max-norm of U^dag U - I."""
         m = self.matrix
         return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Two-component state (excited amplitude first), tagged with its basis."""
-
-    c_excited: complex
-    c_ground: complex
-    basis: str = DIABATIC
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.c_excited) ** 2 + abs(self.c_ground) ** 2)
 
 
 @dataclass(frozen=True)
@@ -184,10 +154,7 @@ def su2_exp(s: FieldSample, dt: float) -> Unitary2:
     """Closed-form exp(-i H dt) for the constant Hamiltonian defined by ``s``."""
     if not math.isfinite(dt):
         raise InvalidArgumentError(f"non-finite step {dt}")
-    return Unitary2(
-        _exp_field(s.v * math.cos(s.phi), s.v * math.sin(s.phi), s.alpha, dt),
-        DIABATIC,
-    )
+    return Unitary2(_exp_field(s.v * math.cos(s.phi), s.v * math.sin(s.phi), s.alpha, dt))
 
 
 # fourth-order commutator-free coefficients (two Gauss nodes, two exponentials)
@@ -309,6 +276,11 @@ def _integrate_segment(model, t0, t1, cfg, u0):
                 h = t1 - t
             fine, err, om = trial(t, h)
             if om * abs(h) > _PHASE_CAP and abs(h) > min_step:
+                if om * min_step > _PHASE_CAP:
+                    raise ConvergenceError(
+                        f"field magnitude {om:.3e} at t={t} needs steps below "
+                        f"min_step={min_step} to stay phase-resolved"
+                    )
                 h = direction * max(min_step, 0.9 * _PHASE_CAP / om)
                 continue
             err /= denom
@@ -394,22 +366,8 @@ def propagate(
     if model.parity and t0 == -t1 and t1 > 0.0:
         _check_parity(model)
         half = _integrate(model, 0.0, t1, cfg)
-        return Unitary2(_mirror(half, model.parity), DIABATIC)
-    return Unitary2(_integrate(model, t0, t1, cfg), DIABATIC)
-
-
-def evolve_state(u: Unitary2, psi: StateVector) -> StateVector:
-    """Apply a propagator to a state; bases must match."""
-    if u.basis != psi.basis:
-        raise BasisMismatchError(
-            f"cannot apply {u.basis} propagator to {psi.basis} state"
-        )
-    a, b, c, d = u.entries
-    return StateVector(
-        a * psi.c_excited + b * psi.c_ground,
-        c * psi.c_excited + d * psi.c_ground,
-        psi.basis,
-    )
+        return Unitary2(_mirror(half, model.parity))
+    return Unitary2(_integrate(model, t0, t1, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +385,10 @@ _WINDOW_LIMIT = 1e6
 _OCTAVE_PROBES = 96
 
 
-def _abs_alpha(model: DriveModel, t: float) -> float:
-    """|alpha(t)|, infinite where a steep drive leaves the float range."""
+def _alpha(model: DriveModel, t: float) -> float:
+    """alpha(t), infinite where a steep drive leaves the float range."""
     try:
-        return abs(model.alpha_fn(t))
+        return model.alpha_fn(t)
     except OverflowError:
         return math.inf
 
@@ -440,29 +398,67 @@ def _edge_ok(model: DriveModel, t: float, kappa: float) -> bool:
         v = model.v_fn(tt)
         if v == 0.0:
             continue
-        if _abs_alpha(model, tt) < kappa * (v if v > 1.0 else 1.0):
+        if abs(_alpha(model, tt)) < kappa * (v if v > 1.0 else 1.0):
             return False
     return True
 
 
+def _missed_minima(model: DriveModel, times, alphas, side: float, kappa: float):
+    """Violating minima of |alpha(side * t)| that fall between probes.
+
+    A minimum is bracketed where alpha changes sign between two probes (it is
+    the root) or where |alpha| falls and rises again over three (it is found by
+    a bounded search).  It is tested only when every probe of its bracket
+    passes; otherwise a probe has already caught the violation.
+    """
+    def f(t):
+        return _alpha(model, side * t)
+
+    found = []
+    for k, (a0, a1, a2) in enumerate(zip(alphas, alphas[1:], alphas[2:]), 1):
+        crossing = (a1 < 0.0) != (a2 < 0.0)
+        if crossing:
+            i, j = k, k + 1
+        elif (a0 < 0.0) == (a1 < 0.0) and abs(a0) > abs(a1) < abs(a2):
+            i, j = k - 1, k + 1
+        else:
+            continue
+        if not (math.isfinite(alphas[i]) and math.isfinite(alphas[j])):
+            continue
+        if not all(_edge_ok(model, t, kappa) for t in times[i:j + 1]):
+            continue  # a probe has caught this violation already
+        if crossing:
+            t = brentq(f, times[i], times[j])
+        else:
+            t = minimize_scalar(lambda x: abs(f(x)), bounds=(times[i], times[j]),
+                                method="bounded").x
+        if not _edge_ok(model, t, kappa):
+            found.append(t)
+    return found
+
+
 def _scan_octave(model: DriveModel, lo: float, hi: float, kappa: float):
-    """Violating probe times in [lo, hi] and whether |alpha| is settled there.
+    """Violating times in [lo, hi] and whether |alpha| is settled there.
 
     Settled means non-decreasing along the probes; a decreasing |alpha| signals
     the approach to a well or crossing further out, so the scan must continue.
+    Besides the probes, a violation narrower than their spacing is found at the
+    minimum of |alpha| it surrounds (``_missed_minima``).  Both checks watch
+    alpha on both sides of t = 0, unless a declared parity makes it even.
     """
     dt = (hi - lo) / _OCTAVE_PROBES
-    bad = []
+    # one probe before lo, so that a minimum at lo is bracketed too
+    times = [lo + k * dt for k in range(-1, _OCTAVE_PROBES + 1)]
+    bad = [t for t in times[1:] if not _edge_ok(model, t, kappa)]
     settled = True
-    prev = _abs_alpha(model, lo)
-    for k in range(_OCTAVE_PROBES + 1):
-        t = lo + k * dt
-        if not _edge_ok(model, t, kappa):
-            bad.append(t)
-        mag = _abs_alpha(model, t)
-        if mag < prev - 1e-12 * (1.0 + prev):
+    for side in (1.0,) if model.parity else (1.0, -1.0):
+        alphas = [_alpha(model, side * t) for t in times]
+        if alphas[0] > 0.0 and alphas == sorted(alphas):
+            continue  # positive and rising: settled, with no minimum of |alpha|
+        mags = [abs(a) for a in alphas[1:]]
+        if any(m1 < m0 - 1e-12 * (1.0 + m0) for m0, m1 in zip(mags, mags[1:])):
             settled = False
-        prev = mag
+        bad += _missed_minima(model, times, alphas, side, kappa)
     return bad, settled
 
 
@@ -472,7 +468,8 @@ def auto_window(model: DriveModel, kappa: float = _CHECK_KAPPA) -> float:
     Scans outward octave by octave, tracking the last time the condition is
     violated, and stops only once the tail is clean, |alpha| has stopped
     decreasing, and the horizon is well past every recorded violation; a deep
-    well (|alpha(0)| large) therefore cannot masquerade as an asymptotic edge.
+    well (|alpha(0)| large) therefore cannot masquerade as an asymptotic edge,
+    even when the crossings beyond it are narrower than the probe spacing.
     Raises WindowTooSmallError if no window exists below ``_WINDOW_LIMIT``.
     """
     last_bad = 0.0

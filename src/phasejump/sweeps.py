@@ -30,6 +30,7 @@ from .models import (
     superparabolic,
 )
 from .analytic import (
+    _sz_conj,
     ica_propagator_phase_jump,
     ica_propagator_reference,
     universal_probability,
@@ -314,8 +315,7 @@ def _fig6_row(spec: SweepSpec, b: float):
         half = propagate(model, 0.0, t_half, cfg).entries
         auto = cfg.window_half_width is None
         ref = _readout(_mirror(half, 1), model, t_half, auto)
-        u11, u12, u21, u22 = _mirror(half, -1)
-        jump = _readout((u11, -u12, -u21, u22), phase_jump(model), t_half, auto)
+        jump = _readout(_sz_conj(_mirror(half, -1)), phase_jump(model), t_half, auto)
     except PhasejumpError as exc:
         return (b, math.nan, math.nan), [f"b={b:g} numeric: {exc}"]
     return (b, ref, jump), []

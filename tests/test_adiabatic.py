@@ -12,10 +12,8 @@ from phasejump.adiabatic import (
     adiabatic_sample,
     mixing_angle,
     rotation,
-    to_adiabatic,
 )
 from phasejump.errors import (
-    BasisMismatchError,
     DegenerateFieldError,
     InvalidArgumentError,
 )
@@ -27,14 +25,7 @@ from phasejump.models import (
     phase_jump,
     sample,
 )
-from phasejump.propagation import (
-    ADIABATIC,
-    SimConfig,
-    Unitary2,
-    auto_window,
-    propagate,
-    transition_probability,
-)
+from phasejump.propagation import SimConfig, propagate
 
 
 def field_matrix(s: FieldSample) -> np.ndarray:
@@ -194,51 +185,16 @@ def adiabatic_frame_model(model: DriveModel) -> DriveModel:
 
 
 class TestToAdiabatic:
-    def test_identity_maps_to_identity(self):
-        m = parabolic(ParabolicParams(b=1.0, c=1.0))
-        u = to_adiabatic(Unitary2.identity(), m, 1.5, 1.5)
-        assert np.allclose(u.matrix, np.eye(2), atol=1e-14)
-        assert u.basis == ADIABATIC
-
-    def test_equals_diabatic_when_uncoupled(self):
-        # V = 0 keeps theta at 0, so both rotations are the identity
-        m = parabolic(ParabolicParams(b=0.0, c=-1.0))
-        ud = propagate(m, -2.0, 2.0)
-        ua = to_adiabatic(ud, m, 2.0, -2.0)
-        assert np.allclose(ua.matrix, ud.matrix, atol=1e-14)
-
-    def test_asymptotic_population_matches_diabatic(self):
-        m = parabolic(ParabolicParams(b=0.8, c=6.0))
-        t_half = auto_window(m)
-        cfg = SimConfig(window_half_width=t_half)
-        ud = propagate(m, -t_half, t_half, cfg)
-        ua = to_adiabatic(ud, m, t_half, -t_half)
-        assert abs(ua.entries[2]) ** 2 == pytest.approx(
-            transition_probability(m, cfg), abs=1e-2)
-
-    def test_basis_mismatch_rejected(self):
-        m = parabolic(ParabolicParams(b=1.0, c=1.0))
-        with pytest.raises(BasisMismatchError):
-            to_adiabatic(Unitary2.identity(ADIABATIC), m, 1.0, 0.0)
-
     def test_connection_consistency(self):
         # direct integration of the adiabatic-frame Hamiltonian agrees with
-        # the transformed diabatic propagator on a discontinuity-free interval
+        # the connected diabatic propagator R(t1)^dag U_D R(t0) on a
+        # discontinuity-free interval
         m = parabolic(ParabolicParams(b=1.0, c=10.0))
         frame = adiabatic_frame_model(m)
         cfg = SimConfig(window_half_width=20.0, local_error_tol=1e-12)
         for t0, t1 in [(-3.0, -0.5), (0.4, 2.5)]:
             direct = propagate(frame, t0, t1, cfg)
-            connected = to_adiabatic(propagate(m, t0, t1, cfg), m, t1, t0)
-            assert np.max(np.abs(direct.matrix - connected.matrix)) < 1e-8
-
-    def test_residual_rotation_does_not_move_probability(self):
-        # keeping the edge rotations instead of dropping them shifts the
-        # population reading only at the residual mixing scale V/alpha(T)
-        m = parabolic(ParabolicParams(b=1.2, c=8.0))
-        t_half = auto_window(m)
-        cfg = SimConfig(window_half_width=t_half)
-        ud = propagate(m, -t_half, t_half, cfg)
-        ua = to_adiabatic(ud, m, t_half, -t_half)
-        theta_edge = mixing_angle(sample(m, t_half))
-        assert abs(abs(ua.entries[2]) ** 2 - abs(ud.entries[2]) ** 2) < 2 * theta_edge
+            r1 = rotation(sample(m, t1)).matrix
+            r0 = rotation(sample(m, t0)).matrix
+            connected = r1.conj().T @ propagate(m, t0, t1, cfg).matrix @ r0
+            assert np.max(np.abs(direct.matrix - connected)) < 1e-8

@@ -189,6 +189,23 @@ class TestUsage:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("command", [
+        ("simulate",),
+        ("sweep", "--min", "0", "--max", "1", "--step", "0.5"),
+        ("figure", "fig6"),
+        ("converge",),
+    ])
+    @pytest.mark.parametrize("flag", [("--tol", "0"), ("--kappa", "1"), ("--T", "-1")])
+    def test_rejected_sim_flags_exit_one(self, capsys, monkeypatch, tmp_path, command, flag):
+        monkeypatch.setenv("PHASEJUMP_OUT_DIR", str(tmp_path / "out"))
+        code, out, err = run_cli(capsys, *command, *flag)
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweepCommand:
     def test_writes_csv_with_invocation(self, capsys, tmp_path):
         out = tmp_path / "s.csv"
