@@ -10,24 +10,25 @@ adiabatic limit and yields a universal strong-coupling transition probability.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
-from scipy.integrate import quad
+import numpy as np
+from scipy.integrate import quad_vec
 from scipy.special import loggamma
 
-from .adiabatic import mixing_angle
 from .errors import (
     DegenerateFieldError,
     InternalConsistencyError,
     InvalidArgumentError,
     NoCrossingError,
+    PhasejumpError,
     QuadratureError,
 )
-from .models import FieldSample, ParabolicParams
-from .propagation import Unitary2, _mul, _rotation
+from .models import ParabolicParams
+from .propagation import Unitary2, _mul
 
 __all__ = [
     "LzParams",
@@ -41,21 +42,55 @@ __all__ = [
     "universal_probability",
 ]
 
+# Each closed form is written once, on numpy arrays with one element per row
+# (a sweep's grid points); the scalar functions evaluate a one-element column.
 
-def stokes_phase(lam: float) -> float:
-    """Phase acquired across one linearized crossing.
+
+def _raised(fn, *args) -> Optional[PhasejumpError]:
+    """The PhasejumpError that ``fn(*args)`` raises, or None if it returns."""
+    try:
+        fn(*args)
+    except PhasejumpError as exc:
+        return exc
+    return None
+
+
+def _record(errors: dict, rows, make) -> None:
+    """Give each row of the boolean mask ``rows`` that has no error yet the error ``make(k)``.
+
+    ``make`` may return None, for a row that does not fail after all.
+    """
+    for k in np.flatnonzero(rows).tolist():
+        if k not in errors:
+            exc = make(k)
+            if exc is not None:
+                errors[k] = exc
+
+
+def _row(entries, k: int) -> tuple:
+    """Row ``k`` of a tuple of entry arrays, as plain complex numbers."""
+    return tuple(complex(e[k]) for e in entries)
+
+
+def _stokes(lam):
+    """Stokes phase of an array of crossing parameters lam >= 0.
 
     pi/4 + (lam/2) ln(lam/(2e)) + arg Gamma(1 - i lam/2); the middle term is
     taken as its limit 0 at lam = 0.
     """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # log(lam) - 1 - log 2 rather than log(lam / 2e): the quotient underflows
+        # to 0 for subnormal lam
+        middle = 0.5 * lam * (np.log(lam) - 1.0 - math.log(2.0))
+    middle = np.where(lam == 0.0, 0.0, middle)
+    return 0.25 * math.pi + middle + loggamma(1.0 - 0.5j * lam).imag
+
+
+def stokes_phase(lam: float) -> float:
+    """Phase acquired across one linearized crossing (see ``_stokes``)."""
     if lam < 0.0:
         raise InvalidArgumentError(f"crossing parameter must be >= 0, got {lam}")
-    if lam == 0.0:
-        return 0.25 * math.pi
-    # log(lam) - 1 - log 2 rather than log(lam / 2e): the quotient underflows
-    # to 0 for subnormal lam
-    middle = 0.5 * lam * (math.log(lam) - 1.0 - math.log(2.0))
-    return 0.25 * math.pi + middle + float(loggamma(1.0 - 0.5j * lam).imag)
+    return float(_stokes(np.array([lam], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -89,43 +124,82 @@ def lz_parameter(p: ParabolicParams) -> float:
         raise InvalidArgumentError("crossing linearization is defined for the n=1 model only")
     if p.c <= 0.0:
         raise NoCrossingError(f"no level crossing for c={p.c}")
-    return p.b * p.b / (2.0 * math.sqrt(p.a * p.c))
+    return float(_lz_lambda(p.a, p.b, p.c))
 
 
-def _crossing(lz: LzParams):
+def _lz_lambda(a, b, c):
+    # sqrt(a) sqrt(c) rather than sqrt(a c): the product underflows to 0 for
+    # tiny a and c
+    return b * b / (2.0 * (np.sqrt(a) * np.sqrt(c)))
+
+
+def _crossing(r, stokes):
     """Entries of the single-crossing scattering matrix in the adiabatic basis."""
-    tq = math.sqrt(max(0.0, 1.0 - lz.r * lz.r)) * cmath.exp(1j * lz.stokes)
-    return (tq, -lz.r, lz.r, tq.conjugate())
+    tq = np.sqrt(np.maximum(0.0, 1.0 - r * r)) * np.exp(1j * stokes)
+    return (tq, -r, r, np.conj(tq))
 
 
 def lz_scattering(lam: float) -> Unitary2:
     """Single-crossing scattering matrix in the adiabatic basis."""
-    return Unitary2(_crossing(LzParams.from_lambda(lam)))
+    lz = LzParams.from_lambda(lam)
+    return Unitary2(_crossing(lz.r, lz.stokes))
+
+
+def _phase_column(a, b, c):
+    """Dynamical phases of rows (a, b, c) with c > 0, and the rows that fail.
+
+    With s = sqrt(c/a) x the phase is 2 * integral_0^1 sqrt(c/a)
+    sqrt(c^2 (x^2 - 1)^2 + b^2) dx for every row, so one ``quad_vec`` call
+    covers the column.  Each row's integrand is divided by its value
+    sqrt(c/a) hypot(b, c) at x = 0, which puts every row's integral in
+    [0.55, 1]: the one error estimate, shared by the whole vector, then bounds
+    each row alike.  A row whose integrand overflows is left out of the
+    quadrature and gets phi = inf; a row whose error exceeds 1e-10 max(1,
+    value) records a QuadratureError.  Returns (phi, {row: error}).
+    """
+    errors = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = np.sqrt(c / a)
+        rows = np.flatnonzero(np.isfinite(upper * np.sqrt(c * c + b * b)))
+        h = np.hypot(b, c)
+    phi = np.full(c.shape, math.inf)
+    if rows.size:
+        gamma = c[rows] / h[rows]
+        beta2 = (b[rows] / h[rows]) ** 2
+
+        def integrand(x):
+            d = gamma * (x * x - 1.0)
+            return np.sqrt(d * d + beta2)
+
+        integral, abserr = quad_vec(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11,
+                                    limit=200, norm="max")
+        scale = upper[rows] * h[rows]
+        value = scale * integral
+        with np.errstate(over="ignore"):
+            phi[rows] = 2.0 * value
+        abserr = scale * abserr
+        _record(errors, abserr > 1e-10 * np.maximum(1.0, np.abs(value)),
+                lambda k: QuadratureError(
+                    "dynamical phase quadrature did not converge: "
+                    f"value={value[k]}, abserr={abserr[k]}"))
+        errors = {int(rows[k]): exc for k, exc in errors.items()}
+    return phi, errors
 
 
 def dynamical_phase(p: ParabolicParams) -> float:
     """Adiabatic phase accumulated between the two crossings.
 
     2 * integral_0^sqrt(c/a) sqrt((a s^2 - c)^2 + b^2) ds, by adaptive
-    quadrature to 1e-10 relative tolerance.
+    quadrature to 1e-11 relative tolerance (``_phase_column``).
     """
     if p.n != 1:
         raise InvalidArgumentError("dynamical phase is defined for the n=1 model only")
     if p.c <= 0.0:
         raise NoCrossingError(f"no level crossing for c={p.c}")
-    a, b, c = p.a, p.b, p.c
-    upper = math.sqrt(c / a)
-
-    def splitting(s):
-        d = a * s * s - c
-        return math.sqrt(d * d + b * b)
-
-    value, abserr = quad(splitting, 0.0, upper, epsabs=1e-13, epsrel=1e-11, limit=200)
-    if abserr > 1e-10 * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"dynamical phase quadrature did not converge: value={value}, abserr={abserr}"
-        )
-    return 2.0 * value
+    phi, errors = _phase_column(np.array([p.a]), np.array([p.b]), np.array([p.c]))
+    if errors:
+        raise errors[0]
+    return float(phi[0])
 
 
 @dataclass(frozen=True)
@@ -149,25 +223,94 @@ def _sz_conj(u):
     return (a, -b, -c, d)
 
 
+def _phase_entries(phi):
+    with np.errstate(invalid="ignore"):
+        e, e_conj = np.exp(1j * phi), np.exp(-1j * phi)
+    zero = np.zeros_like(e)
+    return (e, zero, zero, e_conj)
+
+
 def _phase_evolution(phi: float) -> Unitary2:
-    return Unitary2((cmath.exp(1j * phi), 0.0j, 0.0j, cmath.exp(-1j * phi)))
+    return Unitary2(_row(_phase_entries(np.array([phi], dtype=float)), 0))
+
+
+class _IcaRows(NamedTuple):
+    """Columns of the independent-crossing composition; ``p`` is NaN on failed rows."""
+
+    phi: np.ndarray
+    crossing: tuple
+    total: tuple
+    p: np.ndarray
+    errors: dict
+
+
+def _ica_rows(a, b, c, phase_jump: bool) -> _IcaRows:
+    """Independent-crossing compositions of rows (a, b, c) of valid parameters with c > 0.
+
+    Reference: S2 E(phi) S1, with the second crossing S2 = sz S1 sz because
+    the non-adiabatic coupling is odd in time, and E the dynamical phase
+    evolution.  Phase jump: S1 sz E(phi/2) R0 sz R0^dag E(phi/2) S1, with R0
+    the eigenbasis rotation at the jump time t = 0, where the mixing angle is
+    theta = atan2(b, -c).  Each row fails, as one scalar evaluation would,
+    with the first of: a quadrature error, a non-finite phase evolution, (for
+    the jump) an off-diagonal element that is not real, non-finite entries.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = _lz_lambda(a, b, c)
+        r = np.exp(-0.5 * math.pi * lam)
+        stokes = _stokes(lam)
+        phi, errors = _phase_column(a, b, c)
+        s1 = _crossing(r, stokes)
+        if phase_jump:
+            arg = 0.5 * phi
+            half = _phase_entries(arg)
+            # cos(theta/2) and sin(theta/2) from psi = pi - theta = atan2(b, c), so
+            # that cos(theta/2) is exactly 0 at b = 0
+            psi = 0.5 * np.arctan2(b, c)
+            cos_h, sin_h = np.sin(psi), np.cos(psi)
+            r0 = (cos_h, -sin_h, sin_h, cos_h)
+            r0_dag = (cos_h, sin_h, -sin_h, cos_h)
+            core = _mul(_mul(_sz_conj(_mul(half, r0)), r0_dag), half)
+            total = _mul(_mul(s1, core), s1)
+            off = total[1]
+            p = np.clip(off.real ** 2, 0.0, 1.0)
+        else:
+            arg = phi
+            total = _mul(_mul(_sz_conj(s1), _phase_entries(phi)), s1)
+            p = np.clip(np.abs(total[1]) ** 2, 0.0, 1.0)
+    _record(errors, ~np.isfinite(arg), lambda k: _raised(_phase_evolution, float(arg[k])))
+    if phase_jump:
+        _record(errors, np.abs(off.imag) > 1e-10, lambda k: InternalConsistencyError(
+            f"phase-jump off-diagonal element is not real: {complex(off[k])}"))
+    finite = np.logical_and.reduce([np.isfinite(e) for e in total])
+    _record(errors, ~finite, lambda k: _raised(Unitary2, _row(total, k)))
+    p[list(errors)] = math.nan
+    return _IcaRows(phi, s1, total, p, errors)
+
+
+def _ica_result(p: ParabolicParams, phase_jump: bool) -> IcaResult:
+    """The one-row column of ``_ica_rows`` as an IcaResult; raises the row's error."""
+    lz = LzParams.from_lambda(lz_parameter(p))
+    rows = _ica_rows(np.array([p.a]), np.array([p.b]), np.array([p.c]), phase_jump)
+    if rows.errors:
+        raise rows.errors[0]
+    s1 = _row(rows.crossing, 0)
+    return IcaResult(
+        p=float(rows.p[0]),
+        s_total=Unitary2(_row(rows.total, 0)),
+        phi_dyn=float(rows.phi[0]),
+        lz=lz,
+        crossings=(Unitary2(s1), Unitary2(_sz_conj(s1))),
+    )
 
 
 def ica_propagator_reference(p: ParabolicParams) -> IcaResult:
     """Two uncorrelated crossings joined by the dynamical phase (reference model).
 
-    The second crossing is the sigma_z conjugate of the first because the
-    non-adiabatic coupling is odd in time.  The off-diagonal magnitude squared
-    reproduces 4 R^2 (1 - R^2) sin^2(phi_dyn + phi_S).
+    The off-diagonal magnitude squared reproduces
+    4 R^2 (1 - R^2) sin^2(phi_dyn + phi_S).
     """
-    lz = LzParams.from_lambda(lz_parameter(p))
-    phi_dyn = dynamical_phase(p)
-    s1 = _crossing(lz)
-    s2 = _sz_conj(s1)
-    total = _mul(_mul(s2, _phase_evolution(phi_dyn).entries), s1)
-    prob = min(max(abs(total[1]) ** 2, 0.0), 1.0)
-    return IcaResult(p=prob, s_total=Unitary2(total), phi_dyn=phi_dyn, lz=lz,
-                     crossings=(Unitary2(s1), Unitary2(s2)))
+    return _ica_result(p, phase_jump=False)
 
 
 def ica_propagator_phase_jump(p: ParabolicParams) -> IcaResult:
@@ -180,24 +323,19 @@ def ica_propagator_phase_jump(p: ParabolicParams) -> IcaResult:
     off-diagonal element is real up to roundoff; that is asserted, not
     projected, so convention errors surface as failures.
     """
-    lz = LzParams.from_lambda(lz_parameter(p))
-    phi_dyn = dynamical_phase(p)
-    s_a = _crossing(lz)
-    r0 = _rotation(mixing_angle(FieldSample(alpha=-p.c, v=p.b, phi=0.0)), 0.0)
-    r11, r12, r21, r22 = r0
-    r0_dag = (r11.conjugate(), r21.conjugate(), r12.conjugate(), r22.conjugate())
-    half = _phase_evolution(0.5 * phi_dyn).entries
-    # S_A . sz U_+ R(0) sz R(0)^dag U_- . S_A
-    core = _mul(_mul(_sz_conj(_mul(half, r0)), r0_dag), half)
-    total = _mul(_mul(s_a, core), s_a)
-    off = total[1]
-    if abs(off.imag) > 1e-10:
-        raise InternalConsistencyError(
-            f"phase-jump off-diagonal element is not real: {off}"
-        )
-    prob = min(max(off.real ** 2, 0.0), 1.0)
-    return IcaResult(p=prob, s_total=Unitary2(total), phi_dyn=phi_dyn, lz=lz,
-                     crossings=(Unitary2(s_a), Unitary2(_sz_conj(s_a))))
+    return _ica_result(p, phase_jump=True)
+
+
+def _universal(v0, alpha0):
+    """V(0)^2 / (V(0)^2 + alpha(0)^2) of arrays; NaN where both vanish."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        v2 = v0 * v0
+        a2 = alpha0 * alpha0
+        total = v2 + a2
+        # where a square underflows to zero or to a subnormal with too few
+        # digits, or the sum overflows, the scaled ratio does neither
+        scaled = (np.minimum(v2, a2) < sys.float_info.min) | (total == math.inf)
+        return np.where(scaled, (np.abs(v0) / np.hypot(v0, alpha0)) ** 2, v2 / total)
 
 
 def universal_probability(v0: float, alpha0: float) -> float:
@@ -207,11 +345,4 @@ def universal_probability(v0: float, alpha0: float) -> float:
     """
     if v0 == 0.0 and alpha0 == 0.0:
         raise DegenerateFieldError("universal probability undefined for a vanishing field")
-    v2 = v0 * v0
-    a2 = alpha0 * alpha0
-    total = v2 + a2
-    if min(v2, a2) < sys.float_info.min or total == math.inf:
-        # a square underflows to zero or to a subnormal with too few digits, or
-        # the sum overflows; the scaled ratio does neither
-        return (abs(v0) / math.hypot(v0, alpha0)) ** 2
-    return v2 / total
+    return float(_universal(np.array([v0], dtype=float), np.array([alpha0], dtype=float))[0])

@@ -27,7 +27,6 @@ from .sweeps import (
     SweepSpec,
     _ica_inapplicable,
     _linear_grid,
-    _point_model,
     build_model,
     convergence_report,
     reproduce_figure,
@@ -184,10 +183,10 @@ def _default_out_dir() -> Path:
 def _cmd_simulate(args, invocation) -> int:
     extras = _parse_with(args.with_methods, args.phase_jump)
     spec = _spec_from_args(args, (args.b,), ("numeric", *extras), "b")
-    kw = spec.params_at(args.b)
-    model = _point_model(spec, args.b)
     for method in spec.methods:
-        p = METHODS[method](spec, kw, model)
+        p = METHODS[method](spec)[0]
+        if isinstance(p, PhasejumpError):
+            raise p
         # only the universal formula can be undefined once the ICA rule has passed
         print(f"{method}: undefined (V(0) = alpha(0) = 0)" if math.isnan(p)
               else f"{method}: {p:.12g}")

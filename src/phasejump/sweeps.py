@@ -4,8 +4,8 @@ A sweep evaluates one model family over a grid of one parameter with a chosen
 set of methods (direct numerics plus the closed-form approximations) and
 collects the results into a rectangular table, one row per grid point in grid
 order; identical inputs produce identical tables.  ``METHODS`` maps each
-method name to the one function that evaluates it, which the CLI's
-``simulate`` uses as well.
+method name to the one function that evaluates its column over the grid,
+which the CLI's ``simulate`` uses as well.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvalidArgumentError, PhasejumpError
 from .models import (
     DriveModel,
@@ -26,15 +28,9 @@ from .models import (
     constant_detuning_pulse,
     parabolic,
     phase_jump,
-    sample,
     superparabolic,
 )
-from .analytic import (
-    _sz_conj,
-    ica_propagator_phase_jump,
-    ica_propagator_reference,
-    universal_probability,
-)
+from .analytic import _ica_rows, _raised, _sz_conj, _universal
 from .propagation import (
     SimConfig,
     _mirror,
@@ -139,9 +135,9 @@ def build_model(spec: SweepSpec, value: float) -> DriveModel:
 
 
 # ---------------------------------------------------------------------------
-# methods: name -> f(spec, params, model) with params from SweepSpec.params_at
-# and model() building the point's drive on first call; f returns P, or NaN
-# where the method does not apply
+# methods: name -> f(spec), the method's column over spec.grid: for each grid
+# point a probability (NaN where the method does not apply), or the
+# PhasejumpError that the point raised
 # ---------------------------------------------------------------------------
 
 def _ica_inapplicable(family: str, n: int, c: Optional[float]) -> Optional[str]:
@@ -158,44 +154,87 @@ def _ica_inapplicable(family: str, n: int, c: Optional[float]) -> Optional[str]:
     return None
 
 
-def _crossing_params(spec: SweepSpec, kw: dict) -> Optional[ParabolicParams]:
-    if _ica_inapplicable(spec.family, kw["n"], kw["c"]) is not None:
-        return None
-    return ParabolicParams(b=kw["b"], c=kw["c"], a=kw["a"])
+def _swept(spec: SweepSpec):
+    """Arrays of a, b and c with one element per grid point, and the rows whose
+    swept value passes the model checks that depend on it (finite b and c, b >= 0)."""
+    grid = np.array(spec.grid)
+    a, b, c = (grid if spec.param == key else np.full(grid.shape, getattr(spec, key), dtype=float)
+               for key in ("a", "b", "c"))
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(b) & np.isfinite(c) & (b >= 0.0)
+    return a, b, c, ok
 
 
-def _numeric(spec, kw, model):
-    return transition_probability(model(), spec.config)
+def _build_errors(spec: SweepSpec, build, ok) -> dict:
+    """{row: error} for the grid points where ``build(value)`` raises.
+
+    Rows outside ``ok`` are built one by one.  For the others only spec-wide
+    settings are left to fail, so one of them stands for all.
+    """
+    rows = np.flatnonzero(~ok)
+    first = np.flatnonzero(ok)[:1]
+    if first.size and _raised(build, spec.grid[first[0]]) is not None:
+        rows = range(len(spec.grid))
+    errors = {}
+    for k in rows:
+        exc = _raised(build, spec.grid[k])
+        if exc is not None:
+            errors[int(k)] = exc
+    return errors
 
 
-def _ica_reference(spec, kw, model):
-    p = _crossing_params(spec, kw)
-    return math.nan if p is None else ica_propagator_reference(p).p
+def _column(values, errors: dict) -> list:
+    out = values.tolist()
+    for k, exc in errors.items():
+        out[k] = exc
+    return out
 
 
-def _ica_phase_jump(spec, kw, model):
-    p = _crossing_params(spec, kw)
-    return math.nan if p is None else ica_propagator_phase_jump(p).p
+def _numeric(spec):
+    out = []
+    for value in spec.grid:
+        try:
+            out.append(transition_probability(build_model(spec, value), spec.config))
+        except PhasejumpError as exc:
+            out.append(exc)
+    return out
 
 
-def _universal(spec, kw, model):
-    s = sample(model(), 0.0)
-    if s.v == 0.0 and s.alpha == 0.0:
-        return math.nan
-    return universal_probability(s.v, s.alpha)
+def _ica_column(spec: SweepSpec, phase_jump: bool) -> list:
+    p = np.full(len(spec.grid), math.nan)
+    if _ica_inapplicable(spec.family, spec.n, None) is not None:
+        return p.tolist()
+    a, b, c, ok = _swept(spec)
+
+    def crossing_params(value):
+        kw = spec.params_at(value)
+        return ParabolicParams(b=kw["b"], c=kw["c"], a=kw["a"])
+
+    # the per-point rule of _ica_inapplicable: no double crossing is NaN, not a failure
+    applicable = c > 0.0
+    errors = {k: exc for k, exc in _build_errors(spec, crossing_params, ok).items()
+              if applicable[k]}
+    applicable[list(errors)] = False
+    rows = np.flatnonzero(applicable)
+    if rows.size:
+        ica = _ica_rows(a[rows], b[rows], c[rows], phase_jump)
+        p[rows] = ica.p
+        errors.update((int(rows[k]), exc) for k, exc in ica.errors.items())
+    return _column(p, errors)
+
+
+def _universal_column(spec: SweepSpec) -> list:
+    """V(0) = b and |alpha(0)| = |c| in every family, with or without the jump."""
+    _, b, c, ok = _swept(spec)
+    return _column(_universal(b, c), _build_errors(spec, functools.partial(build_model, spec), ok))
 
 
 METHODS = {
     "numeric": _numeric,
-    "ica-reference": _ica_reference,
-    "ica-phase-jump": _ica_phase_jump,
-    "universal": _universal,
+    "ica-reference": functools.partial(_ica_column, phase_jump=False),
+    "ica-phase-jump": functools.partial(_ica_column, phase_jump=True),
+    "universal": _universal_column,
 }
-
-
-def _point_model(spec: SweepSpec, value: float):
-    """model() for METHODS: the point's drive, built on the first call."""
-    return functools.cache(functools.partial(build_model, spec, value))
 
 
 @dataclass(frozen=True)
@@ -239,25 +278,6 @@ def _spec_digest(spec: SweepSpec) -> str:
     return hashlib.sha256(repr(spec).encode()).hexdigest()[:12]
 
 
-def _evaluate_point(spec: SweepSpec, value: float):
-    """One sweep row: requested method values plus a failure count.
-
-    Inapplicable methods give NaN; methods that raise record NaN, bump the
-    failure count and keep a diagnostic message.
-    """
-    kw = spec.params_at(value)
-    model = _point_model(spec, value)
-    out = []
-    notes = []
-    for method in spec.methods:
-        try:
-            out.append(METHODS[method](spec, kw, model))
-        except PhasejumpError as exc:
-            out.append(math.nan)
-            notes.append(f"{spec.param}={value:g} {method}: {exc}")
-    return (value, *out, float(len(notes))), notes
-
-
 def _first_label(spec: SweepSpec) -> Optional[str]:
     """Label of the model at the first grid point where one builds, None if none does."""
     for value in spec.grid:
@@ -268,15 +288,8 @@ def _first_label(spec: SweepSpec) -> Optional[str]:
     return None
 
 
-def _gather(spec: SweepSpec, evaluate):
-    """Rows of ``evaluate(spec, value)`` in grid order, and the sweep's metadata.
-
-    Every row is kept; a point whose model cannot be built has its methods
-    recorded as failures by ``evaluate``.
-    """
-    results = [evaluate(spec, v) for v in spec.grid]
-    rows = tuple(r for r, _ in results)
-    notes = [n for _, ns in results for n in ns]
+def _metadata(spec: SweepSpec, notes) -> tuple[tuple[str, str], ...]:
+    """The sweep's metadata lines, with one diagnostic per failed evaluation."""
     label = _first_label(spec)
     metadata = [] if label is None else [("label", label)]
     metadata += [
@@ -287,16 +300,33 @@ def _gather(spec: SweepSpec, evaluate):
         ("spec_hash", _spec_digest(spec)),
         ("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S%z")),
     ]
-    for note in notes:
-        metadata.append(("diagnostic", note))
-    return rows, tuple(metadata)
+    metadata += [("diagnostic", note) for note in notes]
+    return tuple(metadata)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate every grid point and gather the rows in grid order."""
-    rows, metadata = _gather(spec, _evaluate_point)
-    return SweepTable(columns=(spec.param, *spec.methods, "failures"), rows=rows,
-                      metadata=metadata)
+    """Evaluate each method's column and gather the rows in grid order.
+
+    A point where a method raised gets NaN in that column, one more failure
+    and a diagnostic; every row is kept.
+    """
+    columns = [METHODS[m](spec) for m in spec.methods]
+    rows = []
+    notes = []
+    for k, value in enumerate(spec.grid):
+        row = [value]
+        failures = 0
+        for method, column in zip(spec.methods, columns):
+            x = column[k]
+            if isinstance(x, PhasejumpError):
+                notes.append(f"{spec.param}={value:g} {method}: {x}")
+                failures += 1
+                x = math.nan
+            row.append(x)
+        row.append(float(failures))
+        rows.append(tuple(row))
+    return SweepTable(columns=(spec.param, *spec.methods, "failures"), rows=tuple(rows),
+                      metadata=_metadata(spec, notes))
 
 
 def _fig6_row(spec: SweepSpec, b: float):
@@ -345,11 +375,12 @@ def reproduce_figure(
 
     if fig_id == "fig6":
         spec = SweepSpec(grid=grid, c=0.0, param="b", methods=("numeric",), config=cfg)
-        rows, metadata = _gather(spec, _fig6_row)
+        results = [_fig6_row(spec, b) for b in grid]
         return [SweepTable(
             columns=("b", "numeric-reference", "numeric-phase-jump"),
-            rows=rows,
-            metadata=(("figure", "fig6"), ("c", "0")) + metadata,
+            rows=tuple(row for row, _ in results),
+            metadata=(("figure", "fig6"), ("c", "0"))
+            + _metadata(spec, [note for _, notes in results for note in notes]),
         )]
 
     fig = _FIG_SETS[fig_id]

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from phasejump.analytic import (
     stokes_phase,
     universal_probability,
 )
-from phasejump.analytic import _phase_evolution
+from phasejump.analytic import _ica_rows, _phase_column, _phase_evolution
 from phasejump.adiabatic import rotation
 from phasejump.errors import (
     DegenerateFieldError,
@@ -84,6 +85,10 @@ class TestLzParameter:
         for c in (0.0, -1.0):
             with pytest.raises(NoCrossingError):
                 lz_parameter(ParabolicParams(b=1.0, c=c))
+
+    def test_tiny_curvature_and_offset(self):
+        # a c underflows to 0 here, sqrt(a) sqrt(c) does not
+        assert lz_parameter(ParabolicParams(b=1.0, c=1e-300, a=1e-300)) == pytest.approx(5e299)
 
 
 class TestLzScattering:
@@ -219,6 +224,75 @@ class TestIcaPhaseJump:
         with pytest.raises(NoCrossingError):
             ica_propagator_phase_jump(ParabolicParams(b=1.0, c=0.0))
 
+    @pytest.mark.parametrize("c", [1e-160, 3.0, 1e154])
+    def test_no_coupling_is_exactly_zero(self, c):
+        # the rotation at t = 0 is exact at b = 0, as in universal and fig6
+        assert ica_propagator_phase_jump(ParabolicParams(b=0.0, c=c)).p == 0.0
+
+
+def mp_dynamical_phase(a, b, c):
+    """2 * integral_0^sqrt(c/a) sqrt((a s^2 - c)^2 + b^2) ds with mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        upper = mpmath.sqrt(c / a)
+        return float(2 * mpmath.quad(lambda s: mpmath.sqrt((a * s * s - c) ** 2 + b * b),
+                                     [0, upper]))
+
+
+def column(x, like):
+    return np.full(like.shape, x)
+
+
+class TestColumns:
+    # b = 0.375 at (a, c) = (0.7, 9.5) and b = 3.555 at (2, 10) are rows where a
+    # per-row scipy quad was off by 6e-12 and 2e-12; 1e-160 and 1e100 put rows
+    # of very different scale into one column
+    B = np.array([0.0, 1e-160, 0.0025, 0.375, 1.0, 3.555, 5.0, 1e3, 1e100])
+
+    @pytest.mark.parametrize("a, c", [(0.7, 9.5), (2.0, 10.0), (1.3, 1e-3)])
+    def test_phase_column_against_mpmath(self, a, c):
+        phi, errors = _phase_column(column(a, self.B), self.B, column(c, self.B))
+        assert errors == {}
+        for b, value in zip(self.B, phi):
+            want = mp_dynamical_phase(a, b, c)
+            assert abs(value - want) <= 1e-13 * want, (b, value, want)
+
+    def test_c_column_against_mpmath(self):
+        c = np.array([1e-8, 0.01, 0.5, 3.7, 10.0, 1e4])
+        phi, errors = _phase_column(column(0.7, c), column(1.0, c), c)
+        assert errors == {}
+        for x, value in zip(c, phi):
+            want = mp_dynamical_phase(0.7, 1.0, x)
+            assert abs(value - want) <= 1e-13 * want, (x, value, want)
+
+    @pytest.mark.parametrize("a, c", [(0.7, 9.5), (2.0, 10.0), (0.5, 0.5)])
+    def test_reference_column_is_the_closed_form(self, a, c):
+        b = np.linspace(0.0, 5.0, 201)
+        rows = _ica_rows(column(a, b), b, column(c, b), phase_jump=False)
+        assert rows.errors == {}
+        lam = b * b / (2.0 * np.sqrt(a * c))
+        r2 = np.exp(-math.pi * lam)
+        stokes = np.array([stokes_phase(x) for x in lam])
+        want = 4.0 * r2 * (1.0 - r2) * np.sin(rows.phi + stokes) ** 2
+        assert np.max(np.abs(rows.p - want)) <= 1e-12
+
+    @pytest.mark.parametrize("a, c", [(0.7, 9.5), (2.0, 10.0), (0.5, 0.5)])
+    def test_phase_jump_column_is_the_matrix_product(self, a, c):
+        b = np.linspace(0.0, 5.0, 201)
+        rows = _ica_rows(column(a, b), b, column(c, b), phase_jump=True)
+        assert rows.errors == {}
+        for k, x in enumerate(b):
+            lam = x * x / (2.0 * math.sqrt(a * c))
+            r = math.exp(-0.5 * math.pi * lam)
+            tq = math.sqrt(1.0 - r * r) * np.exp(1j * stokes_phase(lam))
+            s = np.array([[tq, -r], [r, np.conj(tq)]])
+            th = math.atan2(x, -c)
+            rot = np.array([[math.cos(th / 2), -math.sin(th / 2)],
+                            [math.sin(th / 2), math.cos(th / 2)]])
+            half = np.diag([np.exp(0.5j * rows.phi[k]), np.exp(-0.5j * rows.phi[k])])
+            total = s @ SZ @ half @ rot @ SZ @ rot.T @ half @ s
+            assert abs(rows.p[k] - total[0, 1].real ** 2) <= 1e-12, x
+
 
 class TestUniversalProbability:
     def test_equal_fields_give_half(self):
@@ -255,6 +329,17 @@ class TestUniversalProbability:
     def test_squares_overflow(self):
         assert universal_probability(5e199, 1.0) == 1.0
         assert universal_probability(1e200, -3e200) == pytest.approx(0.1)
+
+    @settings(max_examples=200)
+    @given(v=st.floats(allow_nan=False, allow_infinity=False),
+           alpha=st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_extremes(self, v, alpha):
+        try:
+            p = universal_probability(v, alpha)
+        except DegenerateFieldError:
+            assert v == 0.0 and alpha == 0.0
+        else:
+            assert 0.0 <= p <= 1.0
 
 
 class TestConventionIdentities:

@@ -83,9 +83,10 @@ class TestSimulate:
         flags = ("--phase-jump",) if phase_jump else ()
         printed = {}
         for name, method in list(sweeps.METHODS.items()):
-            def recorded(spec, kw, model, name=name, method=method):
-                printed[name] = method(spec, kw, model)
-                return printed[name]
+            def recorded(spec, name=name, method=method):
+                column = method(spec)
+                printed[name] = column[0]
+                return column
             monkeypatch.setitem(sweeps.METHODS, name, recorded)
         code, out, _ = run_cli(capsys, "simulate", "--b", "0.8", "--c", "4", "--tol", "1e-8",
                                "--with", "all", *flags)

@@ -6,11 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phasejump.errors import InvalidArgumentError
-from phasejump.models import ParabolicParams, constant_detuning_pulse, parabolic, phase_jump
+from phasejump.errors import InvalidArgumentError, PhasejumpError
+from phasejump.models import (
+    ParabolicParams,
+    constant_detuning_pulse,
+    parabolic,
+    phase_jump,
+    sample,
+)
 from phasejump.propagation import SimConfig, transition_probability
 from phasejump.sweeps import (
+    FAMILIES,
+    METHODS,
     ConvergenceReport,
     SweepSpec,
     SweepTable,
@@ -143,6 +153,18 @@ class TestRunSweep:
         assert table.column("failures") == (1.0, 1.0, 0.0, 0.0)
         assert table.meta("label") == "parabolic(a=1, b=0, c=1)"
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n=2, methods=("universal",)), "parabolic() requires n=1, got n=2"),
+        (dict(a=math.nan, methods=("universal", "ica-reference")), "a must be finite, got nan"),
+        (dict(a=-1.0, methods=("ica-phase-jump",)), "curvature must be positive, got a=-1.0"),
+    ])
+    def test_spec_wide_rejection_fails_every_point(self, kwargs, message):
+        table = run_sweep(SweepSpec(grid=(0.5, 1.0, 2.0), c=1.0, **kwargs))
+        notes = [v for k, v in table.metadata if k == "diagnostic"]
+        width = len(kwargs["methods"])
+        assert len(notes) == 3 * width and all(n.endswith(message) for n in notes)
+        assert table.column("failures") == (float(width),) * 3
+
     def test_no_buildable_point_omits_label(self):
         table = run_sweep(SweepSpec(grid=(-2.0, -1.0), c=1.0, methods=("universal",)))
         assert table.column("failures") == (1.0, 1.0)
@@ -157,6 +179,100 @@ class TestRunSweep:
         a = strip_timestamp(render(run_sweep(spec)))
         b = strip_timestamp(render(run_sweep(spec)))
         assert a == b
+
+    @pytest.mark.parametrize("c", [1e-160, 3.0, 1e154])
+    def test_phase_jump_without_coupling_is_exactly_zero(self, c):
+        table = run_sweep(SweepSpec(grid=(0.0,), c=c, methods=("ica-phase-jump",)))
+        assert table.rows[0][1:] == (0.0, 0.0)
+
+    def test_c_sweep_without_crossing_is_missing_not_failed(self):
+        grid = tuple(np.linspace(-2.0, 5.0, 29))
+        table = run_sweep(SweepSpec(grid=grid, b=1.0, param="c",
+                                    methods=("ica-reference", "ica-phase-jump")))
+        assert table.column("failures") == (0.0,) * len(grid)
+        for c, ref, jump, _ in table.rows:
+            assert math.isnan(ref) == math.isnan(jump) == (c <= 0.0)
+
+
+CLOSED_FORMS = ("ica-reference", "ica-phase-jump", "universal")
+
+
+def diagnostics(table):
+    return [v for k, v in table.metadata if k == "diagnostic"]
+
+
+class TestExtremeRows:
+    """A row the closed forms cannot evaluate fails alone; its neighbours keep their values."""
+
+    def check_alone(self, full, plain, failing):
+        rows = {row[0]: row for row in plain.rows}
+        for row in full.rows:
+            if row[0] in failing:
+                assert math.isnan(row[1]) and math.isnan(row[2]) and row[4] == 2.0, row
+            else:
+                assert row[4] == 0.0 and 0.0 <= min(row[1:4]) <= max(row[1:4]) <= 1.0, row
+                if row[0] in rows:
+                    assert np.max(np.abs(np.subtract(row, rows[row[0]]))) <= 1e-13
+        assert len(diagnostics(full)) == 2 * len(failing)
+
+    def test_huge_couplings(self):
+        ordinary = (0.0, 0.5, 1.0, 2.5, 4.0)
+        failing = (1e154, 1e200, 1.7e308)
+        grid = sorted(ordinary + (5e-324, 1e-160) + failing)
+        full = run_sweep(SweepSpec(grid=grid, c=3.0, methods=CLOSED_FORMS))
+        plain = run_sweep(SweepSpec(grid=ordinary, c=3.0, methods=CLOSED_FORMS))
+        self.check_alone(full, plain, failing)
+        assert all(d.startswith(("b=1e+154 ica-", "b=1e+200 ica-", "b=1.7e+308 ica-"))
+                   for d in diagnostics(full))
+
+    def test_huge_offset(self):
+        ordinary = (0.5, 1.0, 3.0)
+        # c^2 overflows in the phase integrand from c = 1.4e154 on
+        failing = (1e200, 1e300)
+        grid = sorted(ordinary + (5e-324, 1e-160, 1e154) + failing)
+        full = run_sweep(SweepSpec(grid=grid, b=1.0, param="c", methods=CLOSED_FORMS))
+        plain = run_sweep(SweepSpec(grid=ordinary, b=1.0, param="c", methods=CLOSED_FORMS))
+        self.check_alone(full, plain, failing)
+
+    def test_tiny_curvature_and_offset(self):
+        table = run_sweep(SweepSpec(grid=(0.0, 1.0), a=1e-300, c=1e-300, methods=CLOSED_FORMS))
+        assert table.column("failures") == (0.0, 0.0)
+        assert all(0.0 <= x <= 1.0 for row in table.rows for x in row[1:4])
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=6, unique=True),
+           other=st.floats(allow_nan=False, allow_infinity=False),
+           a=st.floats(allow_nan=False, allow_infinity=False),
+           param=st.sampled_from(("b", "c")))
+    def test_float_extremes(self, values, other, a, param):
+        spec = SweepSpec(grid=sorted(values), a=a, b=other, c=other, param=param,
+                         methods=CLOSED_FORMS)
+        for method in CLOSED_FORMS:
+            for value, x in zip(spec.grid, METHODS[method](spec)):
+                kw = spec.params_at(value)
+                if isinstance(x, PhasejumpError):
+                    continue
+                if math.isnan(x):
+                    # only the documented missing values: no crossing, or no field
+                    assert (kw["b"] == kw["c"] == 0.0 if method == "universal"
+                            else not kw["c"] > 0.0), (method, kw)
+                else:
+                    assert 0.0 <= x <= 1.0, (method, kw, x)
+        run_sweep(spec)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("jump", [False, True])
+def test_universal_column_reads_the_field_at_the_jump_from_the_spec(family, jump):
+    # the universal column takes V(0) = b and |alpha(0)| = |c| without building
+    # the model; a family for which this fails must not join FAMILIES silently
+    shapes = [(1, 1.0), (1, 0.7)] + ([(2, 1.0), (3, 1.0)] if family == "superparabolic" else [])
+    for n, a in shapes:
+        for b, c in [(0.0, 0.0), (0.7, -3.0), (2.0, 1.5), (1e-160, 1e154), (3.0, 0.0)]:
+            spec = SweepSpec(grid=(b,), family=family, a=a, c=c, n=n, phase_jump=jump)
+            s = sample(build_model(spec, b), 0.0)
+            assert s.v == b and abs(s.alpha) == abs(c), (n, a, b, c, s)
 
 
 class TestSweepTable:
