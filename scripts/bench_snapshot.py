@@ -14,6 +14,10 @@ run passed its checks.  Each checkout is identified by its commit (``-dirty``
 for uncommitted changes) and by the git tree hash of the ``src/`` it ran, which
 equals ``git rev-parse <commit>:src`` of the commit that holds that source.
 The file also records ``nproc`` and the Python, numpy and scipy versions.
+With ``--baseline`` it also holds, for every workload and end-to-end metric of
+``BENCHMARK.json`` (read from ``--root``), in the direction its ``better``
+names: in how many seeds the change beat the baseline (ties count for
+neither), and whether every change run beat every baseline run.
 """
 
 from __future__ import annotations
@@ -73,6 +77,21 @@ def summarize(results: list[dict]) -> dict:
     }
 
 
+def pair_wins(change: dict, baseline: dict, end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric: seeds the change won, and whether all its runs beat all baseline runs."""
+    out = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        ours = [sign * v for v in change["metrics"][name]["values"]]
+        theirs = [sign * v for v in baseline["metrics"][name]["values"]]
+        out[name] = {"better": metric["better"],
+                     "wins": sum(x > y for x, y in zip(ours, theirs)),
+                     "pairs": len(ours),
+                     "every_run_better": min(ours) > max(theirs)}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", required=True, help="checkout to measure; the file goes here")
@@ -110,6 +129,14 @@ def main(argv=None) -> int:
             for label, root in trees.items()
         },
     }
+    if args.baseline:
+        with open(os.path.join(trees["change"], "BENCHMARK.json")) as f:
+            end_to_end = json.load(f)["end_to_end"]
+        runs = snapshot["runs"]
+        snapshot["pair_wins"] = {
+            w: pair_wins(runs["change"]["workloads"][w], runs["baseline"]["workloads"][w], end_to_end)
+            for w in WORKLOADS
+        }
     path = os.path.join(trees["change"], f"BENCH_{args.pr}.json")
     with open(path, "w") as f:
         json.dump(snapshot, f, indent=2)

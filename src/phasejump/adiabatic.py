@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateFieldError, InvalidArgumentError
 from .models import DriveModel, FieldSample, sample
-from .propagation import Unitary2, _rotation
+from .propagation import Unitary2, _rotation, _unitary
 
 __all__ = [
     "AdiabaticSample",
@@ -47,7 +47,7 @@ def mixing_angle(s: FieldSample) -> float:
 
 def rotation(s: FieldSample) -> Unitary2:
     """Basis-change matrix with the instantaneous eigenstates as its columns."""
-    return Unitary2(_rotation(mixing_angle(s), s.phi))
+    return _unitary(_rotation(mixing_angle(s), s.phi))
 
 
 # Relative step for the finite-difference fallback in adiabatic_sample.

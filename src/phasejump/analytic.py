@@ -28,7 +28,7 @@ from .errors import (
     QuadratureError,
 )
 from .models import ParabolicParams
-from .propagation import Unitary2, _mul
+from .propagation import Unitary2, _mul, _unitary
 
 __all__ = [
     "LzParams",
@@ -67,9 +67,9 @@ def _record(errors: dict, rows, make) -> None:
                 errors[k] = exc
 
 
-def _row(entries, k: int) -> tuple:
-    """Row ``k`` of a tuple of entry arrays, as plain complex numbers."""
-    return tuple(complex(e[k]) for e in entries)
+def _row(u, k: int) -> tuple:
+    """Row ``k`` of a pair of arrays, as a pair of plain complex numbers."""
+    return complex(u[0][k]), complex(u[1][k])
 
 
 def _stokes(lam):
@@ -134,15 +134,14 @@ def _lz_lambda(a, b, c):
 
 
 def _crossing(r, stokes):
-    """Entries of the single-crossing scattering matrix in the adiabatic basis."""
-    tq = np.sqrt(np.maximum(0.0, 1.0 - r * r)) * np.exp(1j * stokes)
-    return (tq, -r, r, np.conj(tq))
+    """Pair of the single-crossing scattering matrix in the adiabatic basis."""
+    return np.sqrt(np.maximum(0.0, 1.0 - r * r)) * np.exp(1j * stokes), -r
 
 
 def lz_scattering(lam: float) -> Unitary2:
     """Single-crossing scattering matrix in the adiabatic basis."""
     lz = LzParams.from_lambda(lam)
-    return Unitary2(_crossing(lz.r, lz.stokes))
+    return _unitary(_crossing(lz.r, lz.stokes))
 
 
 def _phase_column(a, b, c):
@@ -218,24 +217,25 @@ class IcaResult:
 
 
 def _sz_conj(u):
-    """Entries of sz U sz: the off-diagonal pair negated."""
-    a, b, c, d = u
-    return (a, -b, -c, d)
+    """Pair of sz U sz: b negated."""
+    a, b = u
+    return a, -b
 
 
 def _phase_entries(phi):
+    """Pair of the phase evolution diag(exp(i phi), exp(-i phi))."""
     with np.errstate(invalid="ignore"):
-        e, e_conj = np.exp(1j * phi), np.exp(-1j * phi)
-    zero = np.zeros_like(e)
-    return (e, zero, zero, e_conj)
+        e = np.exp(1j * phi)
+    return e, np.zeros_like(e)
 
 
 def _phase_evolution(phi: float) -> Unitary2:
-    return Unitary2(_row(_phase_entries(np.array([phi], dtype=float)), 0))
+    return _unitary(_row(_phase_entries(np.array([phi], dtype=float)), 0))
 
 
 class _IcaRows(NamedTuple):
-    """Columns of the independent-crossing composition; ``p`` is NaN on failed rows."""
+    """Columns of the independent-crossing composition, its matrices as pairs of
+    arrays; ``p`` is NaN on failed rows."""
 
     phi: np.ndarray
     crossing: tuple
@@ -268,8 +268,7 @@ def _ica_rows(a, b, c, phase_jump: bool) -> _IcaRows:
             # that cos(theta/2) is exactly 0 at b = 0
             psi = 0.5 * np.arctan2(b, c)
             cos_h, sin_h = np.sin(psi), np.cos(psi)
-            r0 = (cos_h, -sin_h, sin_h, cos_h)
-            r0_dag = (cos_h, sin_h, -sin_h, cos_h)
+            r0, r0_dag = (cos_h, -sin_h), (cos_h, sin_h)
             core = _mul(_mul(_sz_conj(_mul(half, r0)), r0_dag), half)
             total = _mul(_mul(s1, core), s1)
             off = total[1]
@@ -283,7 +282,7 @@ def _ica_rows(a, b, c, phase_jump: bool) -> _IcaRows:
         _record(errors, np.abs(off.imag) > 1e-10, lambda k: InternalConsistencyError(
             f"phase-jump off-diagonal element is not real: {complex(off[k])}"))
     finite = np.logical_and.reduce([np.isfinite(e) for e in total])
-    _record(errors, ~finite, lambda k: _raised(Unitary2, _row(total, k)))
+    _record(errors, ~finite, lambda k: _raised(_unitary, _row(total, k)))
     p[list(errors)] = math.nan
     return _IcaRows(phi, s1, total, p, errors)
 
@@ -297,10 +296,10 @@ def _ica_result(p: ParabolicParams, phase_jump: bool) -> IcaResult:
     s1 = _row(rows.crossing, 0)
     return IcaResult(
         p=float(rows.p[0]),
-        s_total=Unitary2(_row(rows.total, 0)),
+        s_total=_unitary(_row(rows.total, 0)),
         phi_dyn=float(rows.phi[0]),
         lz=lz,
-        crossings=(Unitary2(s1), Unitary2(_sz_conj(s1))),
+        crossings=(_unitary(s1), _unitary(_sz_conj(s1))),
     )
 
 

@@ -3,6 +3,10 @@
 Every integration step is a closed-form matrix exponential of a Hermitian
 field combination, so each step is unitary to machine precision and the
 composed propagator stays unitary structurally, not just to a tolerance.
+The Hamiltonian is traceless, so every 2x2 the package composes is in SU(2),
+[[a, b], [-b*, a*]], and is carried as its pair (a, b): the form itself is
+exact, and only |a|^2 + |b|^2 = 1 can drift by rounding.  ``Unitary2``, with
+its four entries, is built only where a matrix is returned.
 Step size is controlled by step doubling against a local error tolerance,
 and integration intervals are pre-split at model discontinuities so no
 step ever samples across a phase jump.
@@ -11,6 +15,7 @@ step ever samples across a phase jump.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,12 +35,16 @@ __all__ = [
     "auto_window",
 ]
 
-_IDENTITY = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
+_IDENTITY = (1.0 + 0.0j, 0.0j)
 
 
 @dataclass(frozen=True)
 class Unitary2:
-    """2x2 unitary propagator, stored as four entries."""
+    """2x2 unitary, stored as its four entries (u11, u12, u21, u22).
+
+    Every propagator the package returns is in SU(2), so its entries are
+    (a, b, -b*, a*); a Unitary2 built from entries may be any unitary.
+    """
 
     entries: tuple[complex, complex, complex, complex]
 
@@ -48,7 +57,7 @@ class Unitary2:
 
     @classmethod
     def identity(cls) -> "Unitary2":
-        return cls(_IDENTITY)
+        return _unitary(_IDENTITY)
 
     @classmethod
     def from_matrix(cls, m) -> "Unitary2":
@@ -69,7 +78,7 @@ class Unitary2:
     def __matmul__(self, other: "Unitary2") -> "Unitary2":
         if not isinstance(other, Unitary2):
             return NotImplemented
-        return Unitary2(_mul(self.entries, other.entries))
+        return Unitary2.from_matrix(self.matrix @ other.matrix)
 
     def det(self) -> complex:
         a, b, c, d = self.entries
@@ -79,6 +88,13 @@ class Unitary2:
         """Max-norm of U^dag U - I."""
         m = self.matrix
         return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
+
+
+def _unitary(u) -> Unitary2:
+    """The Unitary2 [[a, b], [-b*, a*]] of the pair u = (a, b)."""
+    a, b = u
+    # 0j - b* rather than -b*: a zero b gives 0j, not (-0+0j)
+    return Unitary2((a, b, 0j - b.conjugate(), a.conjugate()))
 
 
 @dataclass(frozen=True)
@@ -115,7 +131,7 @@ class SimConfig:
 
 
 # ---------------------------------------------------------------------------
-# scalar 2x2 kernel (plain complex tuples; much faster than numpy at this size)
+# 2x2 kernel on SU(2) pairs
 # ---------------------------------------------------------------------------
 
 _sqrt = math.sqrt
@@ -123,38 +139,28 @@ _sin = math.sin
 _cos = math.cos
 
 
-def _mul(a, b):
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (
-        a11 * b11 + a12 * b21,
-        a11 * b12 + a12 * b22,
-        a21 * b11 + a22 * b21,
-        a21 * b12 + a22 * b22,
-    )
+def _mul(u, v):
+    """Pair of the product U V of the pairs u and v (scalars or numpy arrays)."""
+    a1, b1 = u
+    a2, b2 = v
+    return (a1 * a2 - b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate())
 
 
 def _exp_field(hx, hy, hz, dt):
-    """exp(-i dt (hx sx + hy sy + hz sz)) in closed form."""
+    """Pair of exp(-i dt (hx sx + hy sy + hz sz)), in closed form."""
     om = _sqrt(hx * hx + hy * hy + hz * hz)
     if om == 0.0 or dt == 0.0:
         return _IDENTITY
     ph = om * dt
-    c = _cos(ph)
     s = _sin(ph) / om
-    return (
-        complex(c, -s * hz),
-        complex(-s * hy, -s * hx),
-        complex(s * hy, -s * hx),
-        complex(c, s * hz),
-    )
+    return complex(_cos(ph), -s * hz), complex(-s * hy, -s * hx)
 
 
 def su2_exp(s: FieldSample, dt: float) -> Unitary2:
     """Closed-form exp(-i H dt) for the constant Hamiltonian defined by ``s``."""
     if not math.isfinite(dt):
         raise InvalidArgumentError(f"non-finite step {dt}")
-    return Unitary2(_exp_field(s.v * math.cos(s.phi), s.v * math.sin(s.phi), s.alpha, dt))
+    return _unitary(_exp_field(s.v * math.cos(s.phi), s.v * math.sin(s.phi), s.alpha, dt))
 
 
 # fourth-order commutator-free coefficients (two Gauss nodes, two exponentials)
@@ -168,16 +174,17 @@ _CF4_ORDER = 4
 
 
 def _make_trial_cf4(model, segment_phi):
-    """Return trial(t, h) -> (fine_entries, raw_error, field_magnitude).
+    """Return trial(t, h) -> (fine_pair, raw_error, field_magnitude).
 
     The fine result composes two half steps; the raw error is the max entry
-    difference between the single full step and the composed halves.  The
-    field magnitude is the largest |H| seen at the full-step nodes, used by
-    the controller to keep each step phase-resolved.
+    difference between the single full step and the composed halves.  Only
+    the pair's two differences are compared: the bottom row's equal them in
+    magnitude exactly, since conj(x) conj(y) == conj(x y) in IEEE arithmetic.
+    The field magnitude is the largest |H| seen at the full-step nodes, used
+    by the controller to keep each step phase-resolved.
 
     The phase is constant on a discontinuity-free segment, so its cosine and
-    sine are folded in once.  Everything else is written flat because this is
-    the innermost loop of every simulation.
+    sine are folded in once.
     """
     af, vf = model.alpha_fn, model.v_fn
     w1, w2, n1, n2 = _CF4_W1, _CF4_W2, _CF4_NODE1, _CF4_NODE2
@@ -192,54 +199,20 @@ def _make_trial_cf4(model, segment_phi):
         v2 = vf(t2)
         z1 = af(t1)
         z2 = af(t2)
-        ax = (w2 * v1 + w1 * v2) * cp
-        ay = (w2 * v1 + w1 * v2) * sp
-        az = w2 * z1 + w1 * z2
-        bx = (w1 * v1 + w2 * v2) * cp
-        by = (w1 * v1 + w2 * v2) * sp
-        bz = w1 * z1 + w2 * z2
-        om_a = _sqrt(ax * ax + ay * ay + az * az)
-        if om_a == 0.0:
-            a11, a12, a21, a22 = _IDENTITY
-        else:
-            ph = om_a * h
-            c = _cos(ph)
-            s = _sin(ph) / om_a
-            a11 = complex(c, -s * az)
-            a12 = complex(-s * ay, -s * ax)
-            a21 = complex(s * ay, -s * ax)
-            a22 = complex(c, s * az)
-        om_b = _sqrt(bx * bx + by * by + bz * bz)
-        if om_b == 0.0:
-            b11, b12, b21, b22 = _IDENTITY
-        else:
-            ph = om_b * h
-            c = _cos(ph)
-            s = _sin(ph) / om_b
-            b11 = complex(c, -s * bz)
-            b12 = complex(-s * by, -s * bx)
-            b21 = complex(s * by, -s * bx)
-            b22 = complex(c, s * bz)
-        # second (b) exponential applied after the first (a)
-        return (
-            b11 * a11 + b12 * a21,
-            b11 * a12 + b12 * a22,
-            b21 * a11 + b22 * a21,
-            b21 * a12 + b22 * a22,
-            max(_sqrt(v1 * v1 + z1 * z1), _sqrt(v2 * v2 + z2 * z2)),
-        )
+        va = w2 * v1 + w1 * v2
+        vb = w1 * v1 + w2 * v2
+        first = _exp_field(va * cp, va * sp, w2 * z1 + w1 * z2, h)
+        second = _exp_field(vb * cp, vb * sp, w1 * z1 + w2 * z2, h)
+        om = max(_sqrt(v1 * v1 + z1 * z1), _sqrt(v2 * v2 + z2 * z2))
+        return _mul(second, first), om
 
     def trial(t, h):
-        g11, g12, g21, g22, om = one_step(t, h)
+        (ga, gb), om = one_step(t, h)
         half = 0.5 * h
-        p11, p12, p21, p22, _ = one_step(t, half)
-        q11, q12, q21, q22, _ = one_step(t + half, half)
-        f11 = q11 * p11 + q12 * p21
-        f12 = q11 * p12 + q12 * p22
-        f21 = q21 * p11 + q22 * p21
-        f22 = q21 * p12 + q22 * p22
-        err = max(abs(g11 - f11), abs(g12 - f12), abs(g21 - f21), abs(g22 - f22))
-        return (f11, f12, f21, f22), err, om
+        p, _ = one_step(t, half)
+        q, _ = one_step(t + half, half)
+        fine = _mul(q, p)
+        return fine, max(abs(ga - fine[0]), abs(gb - fine[1])), om
 
     return trial
 
@@ -319,7 +292,7 @@ def _integrate_segment(model, t0, t1, cfg, u0):
 
 
 def _integrate(model, t0, t1, cfg):
-    """Entries of U(t1, t0), one adaptive run per discontinuity-free segment."""
+    """Pair of U(t1, t0), one adaptive run per discontinuity-free segment."""
     lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
     cuts = sorted(d for d in model.discontinuities if lo < d < hi)
     knots = [t0] + (cuts if t0 <= t1 else cuts[::-1]) + [t1]
@@ -332,11 +305,11 @@ def _integrate(model, t0, t1, cfg):
 def _mirror(half, parity):
     """U(T, -T) = U+ S U+^T S of a drive with the given parity, from U+ = U(T, 0).
 
-    S is 1 for parity +1 and sigma_z for parity -1.
+    S is 1 for parity +1 and sigma_z for parity -1; S U+^T S has the pair
+    (a, -parity b*).
     """
-    a, b, c, d = half
-    s = float(parity)
-    return _mul(half, (a, s * c, s * b, d))
+    a, b = half
+    return _mul(half, (a, -parity * b.conjugate()))
 
 
 def propagate(
@@ -366,8 +339,8 @@ def propagate(
     if model.parity and t0 == -t1 and t1 > 0.0:
         _check_parity(model)
         half = _integrate(model, 0.0, t1, cfg)
-        return Unitary2(_mirror(half, model.parity))
-    return Unitary2(_integrate(model, t0, t1, cfg))
+        return _unitary(_mirror(half, model.parity))
+    return _unitary(_integrate(model, t0, t1, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +413,13 @@ def _missed_minima(model: DriveModel, times, alphas, side: float, kappa: float):
 def _scan_octave(model: DriveModel, lo: float, hi: float, kappa: float):
     """Violating times in [lo, hi] and whether |alpha| is settled there.
 
-    Settled means non-decreasing along the probes; a decreasing |alpha| signals
-    the approach to a well or crossing further out, so the scan must continue.
+    Settled means that no probe's |alpha| falls below the largest one before it
+    in the octave; a decreasing |alpha| signals the approach to a well or
+    crossing further out, so the scan must continue.  Comparing with the
+    running maximum, not the neighbour, catches a deep well whose fall per
+    probe is below the tolerance 1e-12 (1 + |alpha|) but whose fall across
+    the octave is not.
+
     Besides the probes, a violation narrower than their spacing is found at the
     minimum of |alpha| it surrounds (``_missed_minima``).  Both checks watch
     alpha on both sides of t = 0, unless a declared parity makes it even.
@@ -456,7 +434,8 @@ def _scan_octave(model: DriveModel, lo: float, hi: float, kappa: float):
         if alphas[0] > 0.0 and alphas == sorted(alphas):
             continue  # positive and rising: settled, with no minimum of |alpha|
         mags = [abs(a) for a in alphas[1:]]
-        if any(m1 < m0 - 1e-12 * (1.0 + m0) for m0, m1 in zip(mags, mags[1:])):
+        peaks = itertools.accumulate(mags, max)
+        if any(m1 < m0 - 1e-12 * (1.0 + m0) for m0, m1 in zip(peaks, mags[1:])):
             settled = False
         bad += _missed_minima(model, times, alphas, side, kappa)
     return bad, settled
@@ -525,15 +504,13 @@ def _resolve_window(model: DriveModel, cfg: SimConfig = SimConfig()) -> float:
 
 
 def _rotation(theta: float, phi: float):
-    """Entries of the rotation by theta whose first column is the +1 eigenstate
+    """Pair of the rotation by theta whose first column is the +1 eigenstate
     of cos(theta) sz + sin(theta) (cos(phi) sx + sin(phi) sy)."""
-    c = _cos(0.5 * theta)
-    s = _sin(0.5 * theta)
-    return (c, -s * cmath.exp(-1j * phi), s * cmath.exp(1j * phi), c)
+    return _cos(0.5 * theta), -_sin(0.5 * theta) * cmath.exp(-1j * phi)
 
 
 def _superadiabatic_basis(model: DriveModel, t: float):
-    """Entries of the first superadiabatic basis at ``t``, excited state first.
+    """Pair of the first superadiabatic basis at ``t``, excited state first.
 
     The adiabatic rotation R(theta0) turns H into E sz; in that frame the
     Hamiltonian R^dag H R - i R^dag dR/dt has gamma on the off-diagonal, with
@@ -562,14 +539,13 @@ def _superadiabatic_basis(model: DriveModel, t: float):
 def _readout(u, model: DriveModel, t_half: float, superadiabatic: bool) -> float:
     """Transition probability from the ground state at -T to the excited state at T.
 
-    ``u`` holds the entries of U(T, -T).  With ``superadiabatic`` the states
-    are those of ``_superadiabatic_basis`` at each edge, otherwise the
-    diabatic ones.
+    ``u`` is the pair of U(T, -T).  With ``superadiabatic`` the states are
+    those of ``_superadiabatic_basis`` at each edge, otherwise the diabatic
+    ones.
     """
     if superadiabatic:
-        a, b, c, d = _superadiabatic_basis(model, t_half)
-        end = (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
-        u = _mul(end, _mul(u, _superadiabatic_basis(model, -t_half)))
+        a, b = _superadiabatic_basis(model, t_half)
+        u = _mul((a.conjugate(), -b), _mul(u, _superadiabatic_basis(model, -t_half)))
     p = abs(u[1]) ** 2
     return min(max(p, 0.0), 1.0)
 
@@ -585,4 +561,4 @@ def transition_probability(model: DriveModel, cfg: SimConfig = SimConfig()) -> f
     """
     t_half = _resolve_window(model, cfg)
     u = propagate(model, -t_half, t_half, cfg)
-    return _readout(u.entries, model, t_half, cfg.window_half_width is None)
+    return _readout(u.entries[:2], model, t_half, cfg.window_half_width is None)

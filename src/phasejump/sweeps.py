@@ -10,6 +10,7 @@ which the CLI's ``simulate`` uses as well.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import math
@@ -271,7 +272,10 @@ class SweepTable:
         return None
 
     def with_metadata(self, *pairs: tuple[str, str]) -> "SweepTable":
-        return replace(self, metadata=self.metadata + tuple(pairs))
+        # a copy, not dataclasses.replace: the rows were checked when this table was built
+        table = copy.copy(self)
+        object.__setattr__(table, "metadata", self.metadata + tuple(pairs))
+        return table
 
 
 def _spec_digest(spec: SweepSpec) -> str:
@@ -342,7 +346,7 @@ def _fig6_row(spec: SweepSpec, b: float):
         model = build_model(spec, b)
         t_half = _resolve_window(model, cfg)
         _check_parity(model)
-        half = propagate(model, 0.0, t_half, cfg).entries
+        half = propagate(model, 0.0, t_half, cfg).entries[:2]
         auto = cfg.window_half_width is None
         ref = _readout(_mirror(half, 1), model, t_half, auto)
         jump = _readout(_sz_conj(_mirror(half, -1)), phase_jump(model), t_half, auto)
@@ -444,7 +448,7 @@ def convergence_report(model: DriveModel, cfg: SimConfig = SimConfig()) -> Conve
     """
     def probability(t_half, c):
         u = propagate(model, -t_half, t_half, c)
-        return _readout(u.entries, model, t_half, superadiabatic=True)
+        return _readout(u.entries[:2], model, t_half, superadiabatic=True)
 
     t0 = cfg.window_half_width if cfg.window_half_width is not None else _resolve_window(model, cfg)
     window_rows = [(t0, probability(t0, cfg))]

@@ -10,6 +10,8 @@ import pytest
 from oracles import fine_step_propagator
 
 from phasejump import propagation
+from phasejump.adiabatic import rotation
+from phasejump.analytic import ica_propagator_phase_jump, ica_propagator_reference, lz_scattering
 from phasejump.errors import (
     ConvergenceError,
     InvalidArgumentError,
@@ -22,6 +24,7 @@ from phasejump.models import (
     constant_detuning_pulse,
     parabolic,
     phase_jump,
+    sample,
     superparabolic,
 )
 from phasejump.propagation import (
@@ -227,6 +230,29 @@ CATALOG = [
 ]
 
 
+@pytest.mark.parametrize("jump_at", [None, 0.0, 0.3], ids=["plain", "jump", "jump-at-0.3"])
+@pytest.mark.parametrize("family", list(CATALOG_REFERENCES))
+def test_returned_unitaries_have_the_su2_form(family, jump_at):
+    """Every Unitary2 the package returns is exactly [[a, b], [-b*, a*]]."""
+    ref = CATALOG_REFERENCES[family]
+    m = ref if jump_at is None else phase_jump(ref, jump_at)
+    t_half = auto_window(m, 30.0)
+    returned = [propagate(m, -t_half, t_half), propagate(m, -t_half, 0.4 * t_half),
+                propagate(m, t_half, -0.7), Unitary2.identity()]
+    for t in (-1.1, -0.2, 0.5, 2.0):
+        s = sample(m, t)
+        returned += [su2_exp(s, 0.37), su2_exp(s, -2.9), rotation(s)]
+    if family == "parabolic":
+        for lam in (0.0, 0.4, 7.0):
+            returned.append(lz_scattering(lam))
+        for ica in (ica_propagator_reference, ica_propagator_phase_jump):
+            res = ica(ParabolicParams(b=1.3, c=2.0, a=0.8))
+            returned += [res.s_total, *res.crossings]
+    for u in returned:
+        a, b, c, d = u.entries
+        assert d == a.conjugate() and c == -b.conjugate(), u
+
+
 def max_entry_gap(u, v):
     return float(np.max(np.abs(np.asarray(u) - np.asarray(v))))
 
@@ -306,6 +332,16 @@ class TestWindow:
         # either side, is narrower than the probe spacing of its octave
         m = parabolic(ParabolicParams(b=3.0, c=c))
         assert auto_window(m, 30.0) >= math.sqrt(c)
+
+    @pytest.mark.parametrize("c", [5e10, 1e11, 1e12])
+    def test_auto_window_not_fooled_by_deep_well_at_large_offset(self, c):
+        # |alpha| falls by less than 1e-12 (1 + |alpha|) from probe to probe in
+        # the first octave, but by much more across it; the crossings at
+        # sqrt(c) need a window past the search horizon
+        start = time.perf_counter()
+        with pytest.raises(WindowTooSmallError):
+            auto_window(parabolic(ParabolicParams(b=3.0, c=c)), 30.0)
+        assert time.perf_counter() - start < 1.0
 
     def test_auto_window_finds_narrow_crossing_at_negative_time(self):
         # no declared parity, and only the t < 0 half crosses

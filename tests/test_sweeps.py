@@ -284,6 +284,17 @@ class TestSweepTable:
         with pytest.raises(InvalidArgumentError):
             SweepTable(columns=("b", "numeric"), rows=((0.0, 1.5),))
 
+    def test_with_metadata_does_not_check_the_rows_again(self, monkeypatch):
+        table = SweepTable(columns=("b", "numeric"), rows=((0.0, 0.5), (1.0, 0.25)),
+                           metadata=(("k", "v"),))
+        checked = []
+        monkeypatch.setattr(SweepTable, "__post_init__", lambda self: checked.append(self))
+        extended = table.with_metadata(("figure", "fig3"), ("c", "1"))
+        assert checked == []
+        assert extended.rows is table.rows and extended.columns == table.columns
+        assert extended.metadata == (("k", "v"), ("figure", "fig3"), ("c", "1"))
+        assert table.metadata == (("k", "v"),)
+
     def test_metadata_access(self):
         t = SweepTable(columns=("b",), rows=(), metadata=(("k", "v"),))
         assert t.meta("k") == "v"
