@@ -17,7 +17,13 @@ The file also records ``nproc`` and the Python, numpy and scipy versions.
 With ``--baseline`` it also holds, for every workload and end-to-end metric of
 ``BENCHMARK.json`` (read from ``--root``), in the direction its ``better``
 names: in how many seeds the change beat the baseline (ties count for
-neither), and whether every change run beat every baseline run.
+neither), whether every change run beat every baseline run, and the
+acceptance rules worked out: ``median_gap`` (change median minus baseline
+median, positive when the change is better), ``baseline_spread`` (the
+baseline's q3 - q1), ``gain_resolved`` (the change won at least 9 in 10 seeds
+and ``median_gap`` exceeds ``baseline_spread``) and ``within_bound`` (the change
+median is no worse than the baseline median by more than the metric's relative
+``bound``).
 """
 
 from __future__ import annotations
@@ -78,17 +84,26 @@ def summarize(results: list[dict]) -> dict:
 
 
 def pair_wins(change: dict, baseline: dict, end_to_end: list[dict]) -> dict:
-    """Per end-to-end metric: seeds the change won, and whether all its runs beat all baseline runs."""
+    """Per end-to-end metric: seeds the change won, the median gap against the
+    baseline's spread, and whether a gain is resolved and the bound is kept."""
     out = {}
     for metric in end_to_end:
         name = metric["name"]
         sign = 1.0 if metric["better"] == "higher" else -1.0
         ours = [sign * v for v in change["metrics"][name]["values"]]
         theirs = [sign * v for v in baseline["metrics"][name]["values"]]
+        base = baseline["metrics"][name]
+        wins = sum(x > y for x, y in zip(ours, theirs))
+        gap = sign * (change["metrics"][name]["median"] - base["median"])
+        spread = base["q3"] - base["q1"]
         out[name] = {"better": metric["better"],
-                     "wins": sum(x > y for x, y in zip(ours, theirs)),
+                     "wins": wins,
                      "pairs": len(ours),
-                     "every_run_better": min(ours) > max(theirs)}
+                     "every_run_better": min(ours) > max(theirs),
+                     "median_gap": gap,
+                     "baseline_spread": spread,
+                     "gain_resolved": wins >= 0.9 * len(ours) and gap > spread,
+                     "within_bound": gap >= -metric["bound"] * abs(base["median"])}
     return out
 
 

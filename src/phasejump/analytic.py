@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.special import loggamma
+from scipy.special import elliprg, loggamma
 
 from .errors import (
     DegenerateFieldError,
@@ -25,7 +24,6 @@ from .errors import (
     InvalidArgumentError,
     NoCrossingError,
     PhasejumpError,
-    QuadratureError,
 )
 from .models import ParabolicParams
 from .propagation import Unitary2, _mul, _unitary
@@ -88,8 +86,8 @@ def _stokes(lam):
 
 def stokes_phase(lam: float) -> float:
     """Phase acquired across one linearized crossing (see ``_stokes``)."""
-    if lam < 0.0:
-        raise InvalidArgumentError(f"crossing parameter must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise InvalidArgumentError(f"crossing parameter must be finite and >= 0, got {lam}")
     return float(_stokes(np.array([lam], dtype=float))[0])
 
 
@@ -145,60 +143,40 @@ def lz_scattering(lam: float) -> Unitary2:
 
 
 def _phase_column(a, b, c):
-    """Dynamical phases of rows (a, b, c) with c > 0, and the rows that fail.
+    """Dynamical phases of rows (a, b, c) with c > 0.
 
-    With s = sqrt(c/a) x the phase is 2 * integral_0^1 sqrt(c/a)
-    sqrt(c^2 (x^2 - 1)^2 + b^2) dx for every row, so one ``quad_vec`` call
-    covers the column.  Each row's integrand is divided by its value
-    sqrt(c/a) hypot(b, c) at x = 0, which puts every row's integral in
-    [0.55, 1]: the one error estimate, shared by the whole vector, then bounds
-    each row alike.  A row whose integrand overflows is left out of the
-    quadrature and gets phi = inf; a row whose error exceeds 1e-10 max(1,
-    value) records a QuadratureError.  Returns (phi, {row: error}).
+    2 * integral_0^sqrt(c/a) sqrt((a s^2 - c)^2 + b^2) ds equals
+    (2/3) sqrt(c/a) (4 R_G(b^2 - i b c, b^2 + i b c, b^2 + c^2) - b), with
+    Carlson's symmetric integral R_G (B. C. Carlson, Numer. Algorithms 10, 13
+    (1995)).  R_G is homogeneous of degree 1/2, so it is evaluated on b and c
+    divided by h = hypot(b, c), which keeps its arguments near 1; its first two
+    arguments are conjugates, so its value is real.  A row whose
+    sqrt(c/a) sqrt(b^2 + c^2) overflows gets phi = inf.
     """
-    errors = {}
     with np.errstate(over="ignore", invalid="ignore"):
         upper = np.sqrt(c / a)
-        rows = np.flatnonzero(np.isfinite(upper * np.sqrt(c * c + b * b)))
+        rows = np.isfinite(upper * np.sqrt(c * c + b * b))
         h = np.hypot(b, c)
     phi = np.full(c.shape, math.inf)
-    if rows.size:
-        gamma = c[rows] / h[rows]
-        beta2 = (b[rows] / h[rows]) ** 2
-
-        def integrand(x):
-            d = gamma * (x * x - 1.0)
-            return np.sqrt(d * d + beta2)
-
-        integral, abserr = quad_vec(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11,
-                                    limit=200, norm="max")
-        scale = upper[rows] * h[rows]
-        value = scale * integral
-        with np.errstate(over="ignore"):
-            phi[rows] = 2.0 * value
-        abserr = scale * abserr
-        _record(errors, abserr > 1e-10 * np.maximum(1.0, np.abs(value)),
-                lambda k: QuadratureError(
-                    "dynamical phase quadrature did not converge: "
-                    f"value={value[k]}, abserr={abserr[k]}"))
-        errors = {int(rows[k]): exc for k, exc in errors.items()}
-    return phi, errors
+    bs, cs, h = b[rows] / h[rows], c[rows] / h[rows], h[rows]
+    x, y = bs * bs, bs * cs
+    rg = elliprg(x - 1j * y, x + 1j * y, x + cs * cs).real
+    with np.errstate(over="ignore"):
+        phi[rows] = (2.0 / 3.0) * upper[rows] * h * (4.0 * rg - bs)
+    return phi
 
 
 def dynamical_phase(p: ParabolicParams) -> float:
     """Adiabatic phase accumulated between the two crossings.
 
-    2 * integral_0^sqrt(c/a) sqrt((a s^2 - c)^2 + b^2) ds, by adaptive
-    quadrature to 1e-11 relative tolerance (``_phase_column``).
+    2 * integral_0^sqrt(c/a) sqrt((a s^2 - c)^2 + b^2) ds, in closed form
+    (``_phase_column``).
     """
     if p.n != 1:
         raise InvalidArgumentError("dynamical phase is defined for the n=1 model only")
     if p.c <= 0.0:
         raise NoCrossingError(f"no level crossing for c={p.c}")
-    phi, errors = _phase_column(np.array([p.a]), np.array([p.b]), np.array([p.c]))
-    if errors:
-        raise errors[0]
-    return float(phi[0])
+    return float(_phase_column(np.array([p.a]), np.array([p.b]), np.array([p.c]))[0])
 
 
 @dataclass(frozen=True)
@@ -252,14 +230,14 @@ def _ica_rows(a, b, c, phase_jump: bool) -> _IcaRows:
     evolution.  Phase jump: S1 sz E(phi/2) R0 sz R0^dag E(phi/2) S1, with R0
     the eigenbasis rotation at the jump time t = 0, where the mixing angle is
     theta = atan2(b, -c).  Each row fails, as one scalar evaluation would,
-    with the first of: a quadrature error, a non-finite phase evolution, (for
-    the jump) an off-diagonal element that is not real, non-finite entries.
+    with the first of: a non-finite phase evolution, (for the jump) an
+    off-diagonal element that is not real, non-finite entries.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         lam = _lz_lambda(a, b, c)
         r = np.exp(-0.5 * math.pi * lam)
         stokes = _stokes(lam)
-        phi, errors = _phase_column(a, b, c)
+        phi = _phase_column(a, b, c)
         s1 = _crossing(r, stokes)
         if phase_jump:
             arg = 0.5 * phi
@@ -277,6 +255,7 @@ def _ica_rows(a, b, c, phase_jump: bool) -> _IcaRows:
             arg = phi
             total = _mul(_mul(_sz_conj(s1), _phase_entries(phi)), s1)
             p = np.clip(np.abs(total[1]) ** 2, 0.0, 1.0)
+    errors = {}
     _record(errors, ~np.isfinite(arg), lambda k: _raised(_phase_evolution, float(arg[k])))
     if phase_jump:
         _record(errors, np.abs(off.imag) > 1e-10, lambda k: InternalConsistencyError(
@@ -289,10 +268,11 @@ def _ica_rows(a, b, c, phase_jump: bool) -> _IcaRows:
 
 def _ica_result(p: ParabolicParams, phase_jump: bool) -> IcaResult:
     """The one-row column of ``_ica_rows`` as an IcaResult; raises the row's error."""
-    lz = LzParams.from_lambda(lz_parameter(p))
+    lam = lz_parameter(p)
     rows = _ica_rows(np.array([p.a]), np.array([p.b]), np.array([p.c]), phase_jump)
     if rows.errors:
         raise rows.errors[0]
+    lz = LzParams.from_lambda(lam)
     s1 = _row(rows.crossing, 0)
     return IcaResult(
         p=float(rows.p[0]),
@@ -342,6 +322,9 @@ def universal_probability(v0: float, alpha0: float) -> float:
 
     Depends only on the field at the jump time, not on any other model detail.
     """
+    if not (math.isfinite(v0) and math.isfinite(alpha0)):
+        raise InvalidArgumentError(f"field components must be finite, got V(0)={v0}, "
+                                   f"alpha(0)={alpha0}")
     if v0 == 0.0 and alpha0 == 0.0:
         raise DegenerateFieldError("universal probability undefined for a vanishing field")
     return float(_universal(np.array([v0], dtype=float), np.array([alpha0], dtype=float))[0])

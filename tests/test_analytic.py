@@ -1,6 +1,7 @@
 """Closed-form layer: Stokes phase, crossing matrices, compositions."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -56,6 +57,13 @@ class TestStokesPhase:
     def test_negative_rejected(self):
         with pytest.raises(InvalidArgumentError):
             stokes_phase(-0.1)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_rejected(self, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError):
+                stokes_phase(lam)
 
 
 class TestLzParams:
@@ -230,6 +238,19 @@ class TestIcaPhaseJump:
         assert ica_propagator_phase_jump(ParabolicParams(b=0.0, c=c)).p == 0.0
 
 
+@pytest.mark.parametrize("phase_jump", [False, True])
+@pytest.mark.parametrize("b", [1.4e154, 1e200, 1.7e308])
+def test_overflowing_coupling_raises_the_error_of_its_row(b, phase_jump):
+    # lambda = b^2 / (2 sqrt(ac)) overflows; the scalar call raises what its row records
+    want = _ica_rows(np.array([1.0]), np.array([b]), np.array([3.0]), phase_jump).errors[0]
+    fn = ica_propagator_phase_jump if phase_jump else ica_propagator_reference
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(type(want)) as got:
+            fn(ParabolicParams(b=b, c=3.0))
+    assert str(got.value) == str(want)
+
+
 def mp_dynamical_phase(a, b, c):
     """2 * integral_0^sqrt(c/a) sqrt((a s^2 - c)^2 + b^2) ds with mpmath at 30 digits."""
     with mpmath.workdps(30):
@@ -251,19 +272,29 @@ class TestColumns:
 
     @pytest.mark.parametrize("a, c", [(0.7, 9.5), (2.0, 10.0), (1.3, 1e-3)])
     def test_phase_column_against_mpmath(self, a, c):
-        phi, errors = _phase_column(column(a, self.B), self.B, column(c, self.B))
-        assert errors == {}
+        phi = _phase_column(column(a, self.B), self.B, column(c, self.B))
+        assert np.isfinite(phi).all()
         for b, value in zip(self.B, phi):
             want = mp_dynamical_phase(a, b, c)
             assert abs(value - want) <= 1e-13 * want, (b, value, want)
 
     def test_c_column_against_mpmath(self):
         c = np.array([1e-8, 0.01, 0.5, 3.7, 10.0, 1e4])
-        phi, errors = _phase_column(column(0.7, c), column(1.0, c), c)
-        assert errors == {}
+        phi = _phase_column(column(0.7, c), column(1.0, c), c)
+        assert np.isfinite(phi).all()
         for x, value in zip(c, phi):
             want = mp_dynamical_phase(0.7, 1.0, x)
             assert abs(value - want) <= 1e-13 * want, (x, value, want)
+
+    @pytest.mark.parametrize("a, c, b", [(1.0, 3.7, np.linspace(0.0, 5.0, 2001)), (0.7, 9.5, B)])
+    def test_rows_do_not_depend_on_their_column(self, a, c, b):
+        phi = _phase_column(column(a, b), b, column(c, b))
+        ref = _ica_rows(column(a, b), b, column(c, b), phase_jump=False)
+        jump = _ica_rows(column(a, b), b, column(c, b), phase_jump=True)
+        rows = [ParabolicParams(a=a, b=float(x), c=c) for x in b]
+        assert [dynamical_phase(p) for p in rows] == phi.tolist()
+        assert [ica_propagator_reference(p).p for p in rows] == ref.p.tolist()
+        assert [ica_propagator_phase_jump(p).p for p in rows] == jump.p.tolist()
 
     @pytest.mark.parametrize("a, c", [(0.7, 9.5), (2.0, 10.0), (0.5, 0.5)])
     def test_reference_column_is_the_closed_form(self, a, c):
@@ -314,6 +345,12 @@ class TestUniversalProbability:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateFieldError):
             universal_probability(0.0, 0.0)
+
+    @pytest.mark.parametrize("v, alpha", [(math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf),
+                                          (math.nan, 1.0), (1.0, math.nan)])
+    def test_non_finite_rejected(self, v, alpha):
+        with pytest.raises(InvalidArgumentError):
+            universal_probability(v, alpha)
 
     def test_squares_underflow(self):
         assert universal_probability(1e-200, -1e-200) == pytest.approx(0.5)
