@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import elliprg, loggamma
+from scipy.special import elliprd, elliprf, loggamma
 
 from .errors import (
     DegenerateFieldError,
@@ -100,8 +100,15 @@ class LzParams:
     stokes: float
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise InvalidArgumentError(f"crossing parameter must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise InvalidArgumentError(
+                f"crossing parameter must be finite and >= 0, got {self.lam}"
+            )
+        if not (math.isfinite(self.r) and math.isfinite(self.stokes)):
+            raise InvalidArgumentError(
+                f"jump amplitude and Stokes phase must be finite, got r={self.r}, "
+                f"stokes={self.stokes}"
+            )
         if abs(self.r - math.exp(-0.5 * math.pi * self.lam)) > 1e-14:
             raise InvalidArgumentError(
                 f"inconsistent jump amplitude r={self.r} for lam={self.lam}"
@@ -145,12 +152,18 @@ def lz_scattering(lam: float) -> Unitary2:
 def _phase_column(a, b, c):
     """Dynamical phases of rows (a, b, c) with c > 0.
 
-    2 * integral_0^sqrt(c/a) sqrt((a s^2 - c)^2 + b^2) ds equals
-    (2/3) sqrt(c/a) (4 R_G(b^2 - i b c, b^2 + i b c, b^2 + c^2) - b), with
-    Carlson's symmetric integral R_G (B. C. Carlson, Numer. Algorithms 10, 13
-    (1995)).  R_G is homogeneous of degree 1/2, so it is evaluated on b and c
-    divided by h = hypot(b, c), which keeps its arguments near 1; its first two
-    arguments are conjugates, so its value is real.  A row whose
+    2 * integral_0^sqrt(c/a) sqrt((a s^2 - c)^2 + b^2) ds.  With u = a s^2 / c
+    the integral runs over the cubic u ((u - 1)^2 + beta^2), beta = b / c, and
+    u = A tan^2(theta/2), A = sqrt(1 + beta^2), reduces it to Legendre integrals
+    of modulus k^2 = (A + 1) / (2 A) at cos(theta_1) = (A - 1) / (A + 1):
+    phi = (2/3) sqrt(c/a) (b + c sqrt(A) ((A - 1) F + 2 E - 2 sn dn / (1 + cn))),
+    with sn, cn, dn = sin(theta_1), cos(theta_1), sqrt(1 - k^2 sn^2).  F is
+    sn R_F(cn^2, dn^2, 1) and E/sn is k'^2 R_F + (k^2/3) k'^2 sn^2 R_D(cn^2, 1, dn^2)
+    + k^2 cn / dn (DLMF 19.25.9), in Carlson's real symmetric integrals R_F and
+    R_D (B. C. Carlson, Numer. Algorithms 10, 13 (1995)); no term of E/sn is
+    negative.  b and c enter divided by h = hypot(b, c), which keeps every
+    argument within [0, 1].  Where b/c is so small (below about 1e-154) that
+    R_F overflows, the bracket takes its b = 0 limit 2c.  A row whose
     sqrt(c/a) sqrt(b^2 + c^2) overflows gets phi = inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -158,11 +171,22 @@ def _phase_column(a, b, c):
         rows = np.isfinite(upper * np.sqrt(c * c + b * b))
         h = np.hypot(b, c)
     phi = np.full(c.shape, math.inf)
-    bs, cs, h = b[rows] / h[rows], c[rows] / h[rows], h[rows]
-    x, y = bs * bs, bs * cs
-    rg = elliprg(x - 1j * y, x + 1j * y, x + cs * cs).real
+    s, t, h = b[rows] / h[rows], c[rows] / h[rows], h[rows]
+    # sn^2, cn, k'^2 = 1 - k^2 and dn^2 in s = b/h and t = c/h
+    u = 1.0 + t
+    sn2 = 4.0 * t / (u * u)
+    cn = s * s / (u * u)
+    kc2 = s * s / (2.0 * u)
+    dn2 = cn * cn + kc2 * sn2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dn = np.sqrt(dn2)
+        rf = elliprf(cn * cn, dn2, 1.0)
+        rd = elliprd(cn * cn, 1.0, dn2)
+        e_sn = kc2 * rf + (1.0 - kc2) / 3.0 * kc2 * sn2 * rd + (1.0 - kc2) * cn / dn
+        g = s + 2.0 * cn * rf + 4.0 * t / u * (e_sn - dn / (1.0 + cn))
+    g = np.where(np.isfinite(rf), g, 2.0)
     with np.errstate(over="ignore"):
-        phi[rows] = (2.0 / 3.0) * upper[rows] * h * (4.0 * rg - bs)
+        phi[rows] = (2.0 / 3.0) * upper[rows] * h * g
     return phi
 
 

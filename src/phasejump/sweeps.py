@@ -479,12 +479,6 @@ def convergence_report(model: DriveModel, cfg: SimConfig = SimConfig()) -> Conve
 # CSV output
 # ---------------------------------------------------------------------------
 
-def _format_number(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    return f"{x:.16e}"
-
-
 def write_csv(table: SweepTable, destination) -> None:
     """Write a sweep table as UTF-8 CSV.
 
@@ -492,11 +486,11 @@ def write_csv(table: SweepTable, destination) -> None:
     then one line per row with every number in round-trip precision scientific
     notation (missing values as the literal NaN).
     """
-    lines = [f"# {k}: {v}" for k, v in table.metadata]
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_format_number(x) for x in row))
-    text = "\n".join(lines) + "\n"
+    head = "".join(f"# {k}: {v}\n" for k, v in table.metadata) + ",".join(table.columns) + "\n"
+    # one format operation per row; it prints every NaN, -nan included, as
+    # "nan", and no other value it prints holds those letters
+    fmt = ",".join(["%.16e"] * len(table.columns)) + "\n"
+    text = head + "".join([fmt % row for row in table.rows]).replace("nan", "NaN")
     if hasattr(destination, "write"):
         destination.write(text)
         return

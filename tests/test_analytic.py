@@ -76,6 +76,13 @@ class TestLzParams:
         with pytest.raises(InvalidArgumentError):
             LzParams(lam=1.0, r=0.5, stokes=0.0)
 
+    @pytest.mark.parametrize("lam, r, stokes", [(math.nan, math.nan, 0.0),
+                                                (math.inf, 0.0, math.nan),
+                                                (1.0, math.exp(-0.5 * math.pi), math.inf)])
+    def test_non_finite_rejected(self, lam, r, stokes):
+        with pytest.raises(InvalidArgumentError):
+            LzParams(lam=lam, r=r, stokes=stokes)
+
 
 class TestLzParameter:
     def test_no_coupling(self):
@@ -285,6 +292,36 @@ class TestColumns:
         for x, value in zip(c, phi):
             want = mp_dynamical_phase(0.7, 1.0, x)
             assert abs(value - want) <= 1e-13 * want, (x, value, want)
+
+    def test_rows_across_the_small_coupling_guard(self):
+        # b/c below about 1e-154 takes the b = 0 limit; the rows on either side
+        # of it agree with the quadrature
+        b = np.array([1e-150, 1e-154, 1e-155, 1e-160, 5e-324])
+        phi = _phase_column(column(1.0, b), b, column(3.0, b))
+        for x, value in zip(b, phi):
+            want = mp_dynamical_phase(1.0, x, 3.0)
+            assert abs(value - want) <= 1e-13 * want, (x, value, want)
+
+    def test_tiny_offset_gives_the_leading_term(self):
+        # for c << b the phase is 2 b sqrt(c/a) to double precision; mpmath's
+        # quadrature is itself 3.7e-14 off there
+        c = np.array([5e-324, 1e-160])
+        phi = _phase_column(column(1.0, c), column(1.0, c), c)
+        want = 2.0 * np.sqrt(c)
+        assert np.all(np.abs(phi - want) <= 1e-15 * want), (phi, want)
+
+    @pytest.mark.parametrize("a, c", [(1.0, 3.0), (0.7, 9.5), (2.0, 1e-3)])
+    def test_no_coupling_is_the_parabola_area(self, a, c):
+        want = (4.0 / 3.0) * c * math.sqrt(c / a)
+        phi = _phase_column(np.array([a]), np.array([0.0]), np.array([c]))[0]
+        assert abs(phi - want) <= math.ulp(want)
+
+    def test_no_numpy_warnings(self):
+        c = np.array([1e-8, 0.01, 0.5, 3.7, 10.0, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _phase_column(column(0.7, self.B), self.B, column(9.5, self.B))
+            _phase_column(column(0.7, c), column(1.0, c), c)
 
     @pytest.mark.parametrize("a, c, b", [(1.0, 3.7, np.linspace(0.0, 5.0, 2001)), (0.7, 9.5, B)])
     def test_rows_do_not_depend_on_their_column(self, a, c, b):

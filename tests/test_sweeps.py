@@ -322,6 +322,18 @@ class TestWriteCsv:
         assert "NaN" in render(t).splitlines()[-1]
         assert math.isnan(float("NaN"))
 
+    @pytest.mark.parametrize("rows", [
+        ((0.0, math.nan, -0.0, 5e-324, 1.7e308),
+         (math.inf, -math.nan, 1.0, 0.0, -1.7e308),
+         (-math.inf, 0.25, math.nan, 1.0 / 3.0, -5e-324)),
+        (),
+    ])
+    def test_rows_as_each_value_alone(self, rows):
+        t = SweepTable(columns=("b", "x", "y", "z", "w"), rows=rows, metadata=(("k", "nan"),))
+        want = ["# k: nan", "b,x,y,z,w"]
+        want += [",".join("NaN" if math.isnan(x) else f"{x:.16e}" for x in row) for row in rows]
+        assert render(t) == "\n".join(want) + "\n"
+
     def test_file_destination(self, tmp_path):
         t = SweepTable(columns=("b",), rows=((1.0,),))
         path = tmp_path / "out" / "table.csv"
