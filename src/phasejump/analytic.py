@@ -54,15 +54,10 @@ def _raised(fn, *args) -> Optional[PhasejumpError]:
 
 
 def _record(errors: dict, rows, make) -> None:
-    """Give each row of the boolean mask ``rows`` that has no error yet the error ``make(k)``.
-
-    ``make`` may return None, for a row that does not fail after all.
-    """
+    """Give each row of the boolean mask ``rows`` that has no error yet the error ``make(k)``."""
     for k in np.flatnonzero(rows).tolist():
         if k not in errors:
-            exc = make(k)
-            if exc is not None:
-                errors[k] = exc
+            errors[k] = make(k)
 
 
 def _row(u, k: int) -> tuple:
@@ -163,15 +158,14 @@ def _phase_column(a, b, c):
     R_D (B. C. Carlson, Numer. Algorithms 10, 13 (1995)); no term of E/sn is
     negative.  b and c enter divided by h = hypot(b, c), which keeps every
     argument within [0, 1].  Where b/c is so small (below about 1e-154) that
-    R_F overflows, the bracket takes its b = 0 limit 2c.  A row whose
-    sqrt(c/a) sqrt(b^2 + c^2) overflows gets phi = inf.
+    R_F overflows, the bracket takes its b = 0 limit 2c.  phi is inf only
+    where the phase itself overflows, as (4/3) c sqrt(c/a) does from
+    c = 2.6e205 at a = 1.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         upper = np.sqrt(c / a)
-        rows = np.isfinite(upper * np.sqrt(c * c + b * b))
         h = np.hypot(b, c)
-    phi = np.full(c.shape, math.inf)
-    s, t, h = b[rows] / h[rows], c[rows] / h[rows], h[rows]
+    s, t = b / h, c / h
     # sn^2, cn, k'^2 = 1 - k^2 and dn^2 in s = b/h and t = c/h
     u = 1.0 + t
     sn2 = 4.0 * t / (u * u)
@@ -186,8 +180,7 @@ def _phase_column(a, b, c):
         g = s + 2.0 * cn * rf + 4.0 * t / u * (e_sn - dn / (1.0 + cn))
     g = np.where(np.isfinite(rf), g, 2.0)
     with np.errstate(over="ignore"):
-        phi[rows] = (2.0 / 3.0) * upper[rows] * h * g
-    return phi
+        return (2.0 / 3.0) * upper * h * g
 
 
 def dynamical_phase(p: ParabolicParams) -> float:
@@ -253,9 +246,10 @@ def _ica_rows(a, b, c, phase_jump: bool) -> _IcaRows:
     the non-adiabatic coupling is odd in time, and E the dynamical phase
     evolution.  Phase jump: S1 sz E(phi/2) R0 sz R0^dag E(phi/2) S1, with R0
     the eigenbasis rotation at the jump time t = 0, where the mixing angle is
-    theta = atan2(b, -c).  Each row fails, as one scalar evaluation would,
-    with the first of: a non-finite phase evolution, (for the jump) an
-    off-diagonal element that is not real, non-finite entries.
+    theta = atan2(b, -c).  A row fails, as one scalar evaluation would, where
+    its composed matrix has a non-finite entry (an overflowing phase or
+    crossing parameter makes one) or, for the jump, where its off-diagonal
+    element is not real.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         lam = _lz_lambda(a, b, c)
@@ -264,8 +258,7 @@ def _ica_rows(a, b, c, phase_jump: bool) -> _IcaRows:
         phi = _phase_column(a, b, c)
         s1 = _crossing(r, stokes)
         if phase_jump:
-            arg = 0.5 * phi
-            half = _phase_entries(arg)
+            half = _phase_entries(0.5 * phi)
             # cos(theta/2) and sin(theta/2) from psi = pi - theta = atan2(b, c), so
             # that cos(theta/2) is exactly 0 at b = 0
             psi = 0.5 * np.arctan2(b, c)
@@ -276,16 +269,14 @@ def _ica_rows(a, b, c, phase_jump: bool) -> _IcaRows:
             off = total[1]
             p = np.clip(off.real ** 2, 0.0, 1.0)
         else:
-            arg = phi
             total = _mul(_mul(_sz_conj(s1), _phase_entries(phi)), s1)
             p = np.clip(np.abs(total[1]) ** 2, 0.0, 1.0)
     errors = {}
-    _record(errors, ~np.isfinite(arg), lambda k: _raised(_phase_evolution, float(arg[k])))
+    finite = np.logical_and.reduce([np.isfinite(e) for e in total])
+    _record(errors, ~finite, lambda k: _raised(_unitary, _row(total, k)))
     if phase_jump:
         _record(errors, np.abs(off.imag) > 1e-10, lambda k: InternalConsistencyError(
             f"phase-jump off-diagonal element is not real: {complex(off[k])}"))
-    finite = np.logical_and.reduce([np.isfinite(e) for e in total])
-    _record(errors, ~finite, lambda k: _raised(_unitary, _row(total, k)))
     p[list(errors)] = math.nan
     return _IcaRows(phi, s1, total, p, errors)
 

@@ -102,10 +102,10 @@ def _build_parser():
 
     p_fig = sub.add_parser("figure", help="write the dataset behind one figure")
     p_fig.add_argument("figure", choices=FIGURE_IDS)
-    p_fig.add_argument("--grid-step", type=float, default=None,
-                       help=f"override the default b-grid step of {DEFAULT_GRID_STEP}")
-    p_fig.add_argument("--grid-max", type=float, default=None,
-                       help=f"override the default b-grid end of {DEFAULT_GRID_MAX}")
+    p_fig.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP,
+                       help=f"b-grid step (default: {DEFAULT_GRID_STEP})")
+    p_fig.add_argument("--grid-max", type=float, default=DEFAULT_GRID_MAX,
+                       help=f"b-grid end (default: {DEFAULT_GRID_MAX})")
     p_fig.add_argument("--out", default=None, help="output directory")
     _add_sim_args(p_fig)
 
@@ -131,22 +131,15 @@ def _sim_config(args) -> SimConfig:
 def _parse_with(raw: str, phase_jump: bool) -> tuple[str, ...]:
     if not raw:
         return ()
+    ica = "ica-phase-jump" if phase_jump else "ica-reference"
+    names = {"ica": (ica,), "universal": ("universal",), "all": (ica, "universal")}
     out = []
     for token in raw.split(","):
         token = token.strip()
-        if token == "all":
-            out += ["ica", "universal"]
-        elif token in ("ica", "universal"):
-            out.append(token)
-        else:
+        if token not in names:
             raise _UsageError(f"unknown --with value {token!r} (use ica, universal, all)")
-    resolved = []
-    for token in out:
-        if token == "ica":
-            resolved.append("ica-phase-jump" if phase_jump else "ica-reference")
-        else:
-            resolved.append(token)
-    return tuple(dict.fromkeys(resolved))
+        out += names[token]
+    return tuple(dict.fromkeys(out))
 
 
 def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -205,11 +198,7 @@ def _cmd_sweep(args, invocation) -> int:
 
 
 def _cmd_figure(args, invocation) -> int:
-    grid = None
-    if args.grid_step is not None or args.grid_max is not None:
-        step = DEFAULT_GRID_STEP if args.grid_step is None else args.grid_step
-        stop = DEFAULT_GRID_MAX if args.grid_max is None else args.grid_max
-        grid = _grid(0.0, stop, step)
+    grid = _grid(0.0, args.grid_max, args.grid_step)
     cfg = _sim_config(args)
     out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -464,8 +464,6 @@ def auto_window(model: DriveModel, kappa: float = _CHECK_KAPPA) -> float:
         raise WindowTooSmallError(
             f"no asymptotic window below T={_WINDOW_LIMIT} for model {model.label!r}"
         )
-    if last_bad == 0.0 and _edge_ok(model, 1.0, kappa):
-        return 1.0
     lo = max(last_bad, 1.0)
     hi = 2.0 * h
     if _edge_ok(model, lo, kappa):

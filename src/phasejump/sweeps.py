@@ -156,22 +156,19 @@ def _ica_inapplicable(family: str, n: int, c: Optional[float]) -> Optional[str]:
 
 
 def _swept(spec: SweepSpec):
-    """Arrays of a, b and c with one element per grid point, and the rows whose
-    swept value passes the model checks that depend on it (finite b and c, b >= 0)."""
+    """Arrays of a, b and c with one element per grid point, and {row: error}
+    for the grid points whose model does not build.
+
+    Rows whose swept value fails the checks that depend on it (finite b and c,
+    b >= 0) are built one by one.  For the others only spec-wide settings are
+    left to fail, so one of them stands for all.
+    """
     grid = np.array(spec.grid)
     a, b, c = (grid if spec.param == key else np.full(grid.shape, getattr(spec, key), dtype=float)
                for key in ("a", "b", "c"))
     with np.errstate(invalid="ignore"):
         ok = np.isfinite(b) & np.isfinite(c) & (b >= 0.0)
-    return a, b, c, ok
-
-
-def _build_errors(spec: SweepSpec, build, ok) -> dict:
-    """{row: error} for the grid points where ``build(value)`` raises.
-
-    Rows outside ``ok`` are built one by one.  For the others only spec-wide
-    settings are left to fail, so one of them stands for all.
-    """
+    build = functools.partial(build_model, spec)
     rows = np.flatnonzero(~ok)
     first = np.flatnonzero(ok)[:1]
     if first.size and _raised(build, spec.grid[first[0]]) is not None:
@@ -181,7 +178,7 @@ def _build_errors(spec: SweepSpec, build, ok) -> dict:
         exc = _raised(build, spec.grid[k])
         if exc is not None:
             errors[int(k)] = exc
-    return errors
+    return a, b, c, errors
 
 
 def _column(values, errors: dict) -> list:
@@ -205,16 +202,10 @@ def _ica_column(spec: SweepSpec, phase_jump: bool) -> list:
     p = np.full(len(spec.grid), math.nan)
     if _ica_inapplicable(spec.family, spec.n, None) is not None:
         return p.tolist()
-    a, b, c, ok = _swept(spec)
-
-    def crossing_params(value):
-        kw = spec.params_at(value)
-        return ParabolicParams(b=kw["b"], c=kw["c"], a=kw["a"])
-
+    a, b, c, errors = _swept(spec)
     # the per-point rule of _ica_inapplicable: no double crossing is NaN, not a failure
     applicable = c > 0.0
-    errors = {k: exc for k, exc in _build_errors(spec, crossing_params, ok).items()
-              if applicable[k]}
+    errors = {k: exc for k, exc in errors.items() if applicable[k]}
     applicable[list(errors)] = False
     rows = np.flatnonzero(applicable)
     if rows.size:
@@ -226,8 +217,8 @@ def _ica_column(spec: SweepSpec, phase_jump: bool) -> list:
 
 def _universal_column(spec: SweepSpec) -> list:
     """V(0) = b and |alpha(0)| = |c| in every family, with or without the jump."""
-    _, b, c, ok = _swept(spec)
-    return _column(_universal(b, c), _build_errors(spec, functools.partial(build_model, spec), ok))
+    _, b, c, errors = _swept(spec)
+    return _column(_universal(b, c), errors)
 
 
 METHODS = {

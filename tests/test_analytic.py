@@ -316,6 +316,16 @@ class TestColumns:
         phi = _phase_column(np.array([a]), np.array([0.0]), np.array([c]))[0]
         assert abs(phi - want) <= math.ulp(want)
 
+    def test_huge_offset_below_the_phase_overflow(self):
+        # c^2 overflows from c = 1.4e154, the phase (4/3) c sqrt(c/a) only from
+        # c = 2.6e205 (a = b = 1)
+        c = np.array([1e180, 1e200, 2e205])
+        phi = _phase_column(column(1.0, c), column(1.0, c), c)
+        for x, value in zip(c.tolist(), phi.tolist()):
+            want = (4.0 / 3.0) * x * math.sqrt(x)
+            assert abs(value - want) <= math.ulp(want), (x, value, want)
+        assert dynamical_phase(ParabolicParams(b=1.0, c=1e200)) == 1.3333333333333333e+300
+
     def test_no_numpy_warnings(self):
         c = np.array([1e-8, 0.01, 0.5, 3.7, 10.0, 1e4])
         with warnings.catch_warnings():

@@ -44,6 +44,13 @@ class TestSimulate:
         assert code == 0
         assert "ica-reference:" in out
 
+    @pytest.mark.parametrize("value", ["ica, universal", "all,ica"])
+    def test_with_prints_each_method_once(self, capsys, value):
+        code, out, _ = run_cli(capsys, "simulate", "--b", "1", "--c", "4", "--with", value)
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "numeric", "ica-reference", "universal"]
+
     def test_ica_without_crossing_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--b", "1", "--c", "-1",
                                "--with", "ica")
@@ -146,6 +153,13 @@ class TestUsage:
         for flag in ("--param", "--min", "--max", "--step", "--methods",
                      "--out"):
             assert flag in out
+
+    @pytest.mark.parametrize("value, token", [("foo", "'foo'"), ("ica,", "''")])
+    def test_unknown_with_value_exits_one(self, capsys, value, token):
+        code, out, err = run_cli(capsys, "simulate", "--b", "1", "--c", "4", "--with", value)
+        assert code == 1
+        assert f"unknown --with value {token}" in err
+        assert out == ""
 
     def test_unknown_flag_exits_one(self, capsys):
         assert run_cli(capsys, "simulate", "--frequency", "3")[0] == 1

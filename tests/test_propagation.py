@@ -349,6 +349,16 @@ class TestWindow:
                        v_fn=lambda t: 3.0, phi_fn=lambda t: 0.0)
         assert auto_window(m, 30.0) >= math.sqrt(1e5)
 
+    def test_auto_window_finds_narrow_dip_between_probes(self):
+        # |alpha| has a minimum at t = 5.01 without changing sign; an offset of
+        # 10 violates kappa = 30 only within 0.0045 of it, between the probes,
+        # and an offset of 40 violates it nowhere
+        def dip(offset):
+            return DriveModel(alpha_fn=lambda t: 1e6 * (t - 5.01) ** 2 + offset,
+                              v_fn=lambda t: 1.0, phi_fn=lambda t: 0.0)
+        assert auto_window(dip(10.0), 30.0) > 5.01
+        assert auto_window(dip(40.0), 30.0) == 1.0
+
     def test_pulsed_coupling_allows_any_window_beyond_support(self):
         m = constant_detuning_pulse(delta=0.5, amplitude=1.0, half_width=2.0)
         assert auto_window(m) == pytest.approx(2.0, rel=1e-3)
