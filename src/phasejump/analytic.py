@@ -69,14 +69,18 @@ def _stokes(lam):
     """Stokes phase of an array of crossing parameters lam >= 0.
 
     pi/4 + (lam/2) ln(lam/(2e)) + arg Gamma(1 - i lam/2); the middle term is
-    taken as its limit 0 at lam = 0.
+    taken as its limit 0 at lam = 0.  From lam of about 5.1e305 the two large
+    terms overflow; the phase there, 1/(6 lam) by Stirling, is 0 in double
+    precision.  Infinite lam stays non-finite.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # log(lam) - 1 - log 2 rather than log(lam / 2e): the quotient underflows
         # to 0 for subnormal lam
         middle = 0.5 * lam * (np.log(lam) - 1.0 - math.log(2.0))
     middle = np.where(lam == 0.0, 0.0, middle)
-    return 0.25 * math.pi + middle + loggamma(1.0 - 0.5j * lam).imag
+    with np.errstate(invalid="ignore"):
+        stokes = 0.25 * math.pi + middle + loggamma(1.0 - 0.5j * lam).imag
+    return np.where(np.isfinite(stokes) | ~np.isfinite(lam), stokes, 0.0)
 
 
 def stokes_phase(lam: float) -> float:
@@ -222,10 +226,6 @@ def _phase_entries(phi):
     with np.errstate(invalid="ignore"):
         e = np.exp(1j * phi)
     return e, np.zeros_like(e)
-
-
-def _phase_evolution(phi: float) -> Unitary2:
-    return _unitary(_row(_phase_entries(np.array([phi], dtype=float)), 0))
 
 
 class _IcaRows(NamedTuple):

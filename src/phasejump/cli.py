@@ -22,6 +22,7 @@ from .propagation import _AUTO_KAPPA, _CHECK_KAPPA, SimConfig
 from .sweeps import (
     DEFAULT_GRID_MAX,
     DEFAULT_GRID_STEP,
+    FAMILIES,
     FIGURE_IDS,
     METHODS,
     SweepSpec,
@@ -54,9 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_model_args(p):
-    p.add_argument("--model", default="parabolic",
-                   choices=("parabolic", "superparabolic", "const-detuning"),
-                   help=_MODEL_HELP)
+    p.add_argument("--model", default="parabolic", choices=FAMILIES, help=_MODEL_HELP)
     p.add_argument("--a", type=float, default=1.0, help="curvature (or pulse half-width)")
     p.add_argument("--b", type=float, default=0.0, help="coupling strength")
     p.add_argument("--c", type=float, default=0.0, help="level offset (or detuning)")

@@ -188,8 +188,7 @@ def _make_trial_cf4(model, segment_phi):
     """
     af, vf = model.alpha_fn, model.v_fn
     w1, w2, n1, n2 = _CF4_W1, _CF4_W2, _CF4_NODE1, _CF4_NODE2
-    cp = _cos(segment_phi) if segment_phi != 0.0 else 1.0
-    sp = _sin(segment_phi) if segment_phi != 0.0 else 0.0
+    cp, sp = _cos(segment_phi), _sin(segment_phi)
 
     def one_step(t, h):
         # two Gauss-node fields combined into two exact exponentials
@@ -228,33 +227,29 @@ _MIN_STEP = 1e-12
 
 
 def _integrate_segment(model, t0, t1, cfg, u0):
-    """Adaptively integrate over (t0, t1) free of discontinuities; u0 composes on the right."""
-    span = t1 - t0
-    if span == 0.0:
-        return u0
+    """Adaptively integrate forward over (t0, t1) free of discontinuities; u0 composes on the right."""
     # phi is piecewise constant with jumps only at discontinuities, and the
     # segment contains none, so one interior sample fixes it
-    trial = _make_trial_cf4(model, model.phi_fn(t0 + 0.5 * span))
-    direction = 1.0 if span > 0.0 else -1.0
+    trial = _make_trial_cf4(model, model.phi_fn(t0 + 0.5 * (t1 - t0)))
     denom = float(2 ** _CF4_ORDER - 1)
     grow = 1.0 / (_CF4_ORDER + 1.0)
     tol = cfg.local_error_tol
     max_step, min_step = _MAX_STEP, _MIN_STEP
     u = u0
     t = t0
-    h = direction * min(max_step, abs(span))
+    h = min(max_step, t1 - t0)
     try:
-        while (t1 - t) * direction > 0.0:
-            if (abs(h) >= abs(t1 - t)) or (abs(t1 - t) < min_step):
+        while t < t1:
+            if (h >= t1 - t) or (t1 - t < min_step):
                 h = t1 - t
             fine, err, om = trial(t, h)
-            if om * abs(h) > _PHASE_CAP and abs(h) > min_step:
+            if om * h > _PHASE_CAP and h > min_step:
                 if om * min_step > _PHASE_CAP:
                     raise ConvergenceError(
                         f"field magnitude {om:.3e} at t={t} needs steps below "
                         f"min_step={min_step} to stay phase-resolved"
                     )
-                h = direction * max(min_step, 0.9 * _PHASE_CAP / om)
+                h = max(min_step, 0.9 * _PHASE_CAP / om)
                 continue
             err /= denom
             if err <= tol:
@@ -262,13 +257,13 @@ def _integrate_segment(model, t0, t1, cfg, u0):
                 t = t + h
                 if err > 0.0:
                     factor = 0.9 * (tol / err) ** grow
-                    h_abs = abs(h) * min(5.0, max(0.2, factor))
+                    h = h * min(5.0, max(0.2, factor))
                 else:
-                    h_abs = abs(h) * 5.0
+                    h = h * 5.0
                 if om > 0.0:
                     # margin keeps the next step under the cap as the field grows
-                    h_abs = min(h_abs, 0.95 * _PHASE_CAP / om)
-                h = direction * min(max_step, h_abs)
+                    h = min(h, 0.95 * _PHASE_CAP / om)
+                h = min(max_step, h)
             else:
                 if not (math.isfinite(err) and math.isfinite(om)):
                     # shrinking cannot cure a field that is NaN or infinite here
@@ -279,7 +274,7 @@ def _integrate_segment(model, t0, t1, cfg, u0):
                     )
                 shrink = 0.9 * (tol / err) ** grow
                 h = h * min(0.9, max(0.1, shrink))
-                if abs(h) < min_step:
+                if h < min_step:
                     raise ConvergenceError(
                         f"step underflow below min_step={min_step} at t={t} "
                         f"(local error estimate {err:.3e})",
@@ -292,10 +287,8 @@ def _integrate_segment(model, t0, t1, cfg, u0):
 
 
 def _integrate(model, t0, t1, cfg):
-    """Pair of U(t1, t0), one adaptive run per discontinuity-free segment."""
-    lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-    cuts = sorted(d for d in model.discontinuities if lo < d < hi)
-    knots = [t0] + (cuts if t0 <= t1 else cuts[::-1]) + [t1]
+    """Pair of U(t1, t0) for t0 <= t1, one adaptive run per discontinuity-free segment."""
+    knots = [t0, *sorted(d for d in model.discontinuities if t0 < d < t1), t1]
     u = _IDENTITY
     for a, b in zip(knots[:-1], knots[1:]):
         u = _integrate_segment(model, a, b, cfg, u)
@@ -321,9 +314,10 @@ def propagate(
     """Diabatic propagator U(t1, t0) by adaptive composition of exact SU(2) steps.
 
     Integration segments never straddle a model discontinuity: the interval is
-    split at each listed discontinuity time first.  ``t1 < t0`` integrates
-    backwards (negative steps), so propagate(m, a, b) @ propagate(m, b, a) is
-    the identity up to the local tolerance.
+    split at each listed discontinuity time first.  Integration runs forward
+    only: ``t1 < t0`` returns the adjoint of U(t0, t1), exact for a unitary
+    propagator, so propagate(m, a, b) @ propagate(m, b, a) is the identity to
+    rounding.
 
     A symmetric window (t0 = -T, t1 = T > 0) of a model with declared parity
     is integrated over [0, T] only and mirrored: with U+ = U(T, 0) and S = 1
@@ -336,6 +330,8 @@ def propagate(
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise InvalidArgumentError(f"non-finite interval ({t0}, {t1})")
+    if t1 < t0:
+        return propagate(model, t1, t0, cfg).dagger()
     if model.parity and t0 == -t1 and t1 > 0.0:
         _check_parity(model)
         half = _integrate(model, 0.0, t1, cfg)

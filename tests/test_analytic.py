@@ -22,7 +22,7 @@ from phasejump.analytic import (
     stokes_phase,
     universal_probability,
 )
-from phasejump.analytic import _ica_rows, _phase_column, _phase_evolution
+from phasejump.analytic import _ica_rows, _phase_column, _phase_entries
 from phasejump.adiabatic import rotation
 from phasejump.errors import (
     DegenerateFieldError,
@@ -53,6 +53,11 @@ class TestStokesPhase:
         values = [stokes_phase(lam) for lam in (5.0, 10.0, 25.0, 50.0)]
         assert all(x > y for x, y in zip(values, values[1:]))
         assert values[-1] < 0.004
+
+    def test_overflowing_terms_give_the_adiabatic_limit(self):
+        # both large terms overflow from lam = 5.1e305, where the phase 1/(6 lam) is 0
+        assert stokes_phase(1e306) == 0.0
+        assert LzParams.from_lambda(1.7e308).stokes == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -100,6 +105,10 @@ class TestLzParameter:
         for c in (0.0, -1.0):
             with pytest.raises(NoCrossingError):
                 lz_parameter(ParabolicParams(b=1.0, c=c))
+
+    def test_higher_n_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            lz_parameter(ParabolicParams(b=1.0, c=1.0, n=2))
 
     def test_tiny_curvature_and_offset(self):
         # a c underflows to 0 here, sqrt(a) sqrt(c) does not
@@ -157,6 +166,10 @@ class TestDynamicalPhase:
     def test_requires_crossing(self):
         with pytest.raises(NoCrossingError):
             dynamical_phase(ParabolicParams(b=1.0, c=-1.0))
+
+    def test_higher_n_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            dynamical_phase(ParabolicParams(b=1.0, c=1.0, n=2))
 
 
 def eq_reference_probability(p: ParabolicParams) -> float:
@@ -430,8 +443,9 @@ class TestConventionIdentities:
     @settings(max_examples=40)
     @given(phi=st.floats(-10.0, 10.0))
     def test_phase_evolution_invariant_under_sz_conjugation(self, phi):
-        u = _phase_evolution(phi).matrix
-        assert np.array_equal(SZ @ u @ SZ, u)
+        # sz E sz = E exactly where E is diagonal; E is unitary where |e^{i phi}| = 1
+        e, off = _phase_entries(np.array([phi]))
+        assert off[0] == 0.0 and abs(e[0]) == 1.0
 
     def test_jump_matrix_identity(self):
         rng = np.random.default_rng(31)

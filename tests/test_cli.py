@@ -57,6 +57,15 @@ class TestSimulate:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (("--model", "const-detuning", "--b", "1", "--c", "1"), "parabolic family only"),
+        (("--model", "superparabolic", "--n", "2", "--b", "1", "--c", "1"), "n=1 only"),
+    ])
+    def test_ica_outside_parabolic_n1_is_usage_error(self, capsys, argv, reason):
+        code, _, err = run_cli(capsys, "simulate", *argv, "--with", "ica")
+        assert code == 1
+        assert reason in err
+
     def test_numeric_failure_exits_two(self, capsys):
         # explicit window far inside the asymptotic regime
         code, _, err = run_cli(capsys, "simulate", "--b", "1", "--c", "10", "--T", "2")

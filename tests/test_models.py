@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from phasejump.errors import InvalidArgumentError, PhasejumpError
 from phasejump.models import (
     DriveModel,
+    FieldSample,
     ParabolicParams,
     _check_parity,
     constant_detuning_pulse,
@@ -117,6 +118,10 @@ class TestPhaseJump:
         with pytest.raises(InvalidArgumentError):
             phase_jump(m)
 
+    def test_non_finite_jump_time_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            phase_jump(parabolic(ParabolicParams(b=1.0, c=1.0)), math.inf)
+
     @given(st.floats(-20, 20))
     def test_involution_on_signed_coupling(self, t):
         # flipping the flipped coupling restores the reference away from t=0
@@ -143,6 +148,10 @@ class TestConstantDetuningPulse:
         with pytest.raises(InvalidArgumentError):
             constant_detuning_pulse(delta=0.0, amplitude=-1.0, half_width=1.0)
 
+    def test_zero_half_width_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            constant_detuning_pulse(1.0, 1.0, 0.0)
+
     @pytest.mark.parametrize("kwargs", [dict(delta=math.nan), dict(delta=-math.inf),
                                         dict(amplitude=math.nan), dict(amplitude=math.inf),
                                         dict(half_width=math.nan), dict(half_width=math.inf)])
@@ -161,6 +170,10 @@ class TestSample:
         m = parabolic(ParabolicParams(b=1.0, c=0.0))
         with pytest.raises(InvalidArgumentError):
             sample(m, math.inf)
+
+    def test_negative_coupling_magnitude_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            FieldSample(0.0, -1.0)
 
 
 class TestPulseArea:

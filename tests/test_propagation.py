@@ -54,6 +54,10 @@ class TestUnitary2:
         with pytest.raises(InvalidArgumentError):
             Unitary2.from_matrix(np.eye(3))
 
+    def test_needs_four_entries(self):
+        with pytest.raises(InvalidArgumentError):
+            Unitary2((1, 0, 0))
+
 
 class TestSu2Exp:
     def test_zero_hamiltonian_gives_identity(self):
@@ -168,6 +172,16 @@ class TestPropagate:
         fwd = propagate(m, -2.0, 4.0, cfg)
         bwd = propagate(m, 4.0, -2.0, cfg)
         assert np.max(np.abs((fwd @ bwd).matrix - np.eye(2))) < 1e-9
+
+    @pytest.mark.parametrize("t0, t1", [(-2.0, 4.0), (-3.0, 3.0), (0.0, 2.5)])
+    def test_backward_is_the_adjoint_of_forward(self, t0, t1):
+        m = phase_jump(parabolic(ParabolicParams(b=1.4, c=3.0)))
+        assert propagate(m, t1, t0).entries == propagate(m, t0, t1).dagger().entries
+
+    def test_non_finite_interval_rejected(self):
+        m = parabolic(ParabolicParams(b=1.0, c=1.0))
+        with pytest.raises(InvalidArgumentError):
+            propagate(m, 0.0, math.inf)
 
     def test_step_underflow_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(propagation, "_MIN_STEP", 0.05)

@@ -114,6 +114,13 @@ class TestRunSweep:
         assert not math.isnan(ica[1])      # c = 0.5: fine
         assert table.column("failures") == (0.0, 0.0)
 
+    def test_ica_on_const_detuning_is_missing(self):
+        spec = SweepSpec(grid=(0.5, 1.0), family="const-detuning", c=1.0,
+                         methods=("ica-reference", "universal"))
+        rows = run_sweep(spec).rows
+        assert all(math.isnan(row[1]) for row in rows)
+        assert [(row[0],) + row[2:] for row in rows] == [(0.5, 0.2, 0.0), (1.0, 0.5, 0.0)]
+
     def test_universal_undefined_at_origin_is_missing(self):
         spec = SweepSpec(grid=(0.0,), c=0.0, b=0.0, methods=("universal",), config=FAST)
         table = run_sweep(spec)
@@ -217,13 +224,17 @@ class TestExtremeRows:
 
     def test_huge_couplings(self):
         ordinary = (0.0, 0.5, 1.0, 2.5, 4.0)
-        failing = (1e154, 1e200, 1.7e308)
-        grid = sorted(ordinary + (5e-324, 1e-160) + failing)
+        # the Stokes phase takes its limit 0 where its terms overflow; only
+        # rows whose b^2 overflows (from b = 1.3408e154) fail
+        adiabatic = (1.33e153, 1e154, 1.34e154)
+        failing = (1e200, 1.7e308)
+        grid = sorted(ordinary + (5e-324, 1e-160) + adiabatic + failing)
         full = run_sweep(SweepSpec(grid=grid, c=3.0, methods=CLOSED_FORMS))
         plain = run_sweep(SweepSpec(grid=ordinary, c=3.0, methods=CLOSED_FORMS))
         self.check_alone(full, plain, failing)
-        assert all(d.startswith(("b=1e+154 ica-", "b=1e+200 ica-", "b=1.7e+308 ica-"))
+        assert all(d.startswith(("b=1e+200 ica-", "b=1.7e+308 ica-"))
                    for d in diagnostics(full))
+        assert [row[1:] for row in full.rows if row[0] in adiabatic] == [(0.0, 1.0, 1.0, 0.0)] * 3
 
     def test_huge_offset(self):
         ordinary = (0.5, 1.0, 3.0)
